@@ -43,6 +43,15 @@ INVERSE_DELTA: dict[tuple[CtState, int], CtState] = {
     (dst, s): src for (src, s), dst in DELTA.items()
 }
 
+# The same inverse automaton indexed by integers, for the walkers: state i is
+# STATES[i] and INV[i][s] is the index of inverse_delta(STATES[i], s).
+# ``words_of_length`` and the enumerator's fused core both walk this table,
+# so they share transitions, pruning and symbol order.
+INV: tuple[tuple[int, int], ...] = tuple(
+    tuple(STATES.index(INVERSE_DELTA[(state, s)]) for s in (0, 1)) for state in STATES
+)
+START_INDEX = STATES.index(START)
+
 
 def delta(state: CtState, s: int) -> CtState:
     """Forward transition for one division step with quotient constant term s."""
@@ -85,17 +94,15 @@ def count_words(k: int) -> int:
     return ((1 << k) + (2 if k % 2 == 0 else -2)) // 3
 
 
-def _reach_sets(k: int) -> list[set[CtState]]:
-    """reach[r] = states from which ACCEPT is reachable in exactly r symbols."""
-    reach = [{ACCEPT}]
+def reach_masks(k: int) -> list[int]:
+    """mask[r] = bitmask of the state indices that reach ACCEPT in exactly r symbols."""
+    masks = [1 << STATES.index(ACCEPT)]
     for _ in range(k):
-        prev = reach[-1]
-        reach.append({
-            state
-            for state in STATES
-            if INVERSE_DELTA[(state, 0)] in prev or INVERSE_DELTA[(state, 1)] in prev
-        })
-    return reach
+        prev = masks[-1]
+        masks.append(sum(
+            1 << i for i, (on0, on1) in enumerate(INV) if ((prev >> on0) | (prev >> on1)) & 1
+        ))
+    return masks
 
 
 def words_of_length(k: int) -> Iterator[str]:
@@ -110,20 +117,21 @@ def words_of_length(k: int) -> Iterator[str]:
 
 
 def _words(k: int) -> Iterator[str]:
-    reach = _reach_sets(k)
-    if START not in reach[k]:
+    masks = reach_masks(k)
+    if not (masks[k] >> START_INDEX) & 1:
         return
     prefix: list[str] = []
 
-    def extend(state: CtState, remaining: int) -> Iterator[str]:
+    def extend(state: int, remaining: int) -> Iterator[str]:
         if remaining == 0:
             yield "".join(prefix)
             return
+        feasible = masks[remaining - 1]
         for s in (0, 1):
-            nxt = INVERSE_DELTA[(state, s)]
-            if nxt in reach[remaining - 1]:
+            nxt = INV[state][s]
+            if (feasible >> nxt) & 1:
                 prefix.append("01"[s])
                 yield from extend(nxt, remaining - 1)
                 prefix.pop()
 
-    yield from extend(START, k)
+    yield from extend(START_INDEX, k)

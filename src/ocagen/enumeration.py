@@ -7,11 +7,16 @@ A pair of degree n is synthesized from three independent choices:
   * a valid constant-term word of length k.
 
 The three pieces assemble into a quotient sequence [p_1, .., p_k, 1] (the
-trailing unit quotient is forced by the equal degrees), which ``dilcue``
-replays from the seed (1, 0) into the pair itself.  Every pair is produced
-exactly once; the stream is constant-memory and deterministically ordered:
-k ascending, then compositions, intermediate strings and constant words
-each in lexicographic order.
+trailing unit quotient is forced by the equal degrees), which dilcuE replays
+from the seed (1, 0) into the pair itself.  Every pair is produced exactly
+once; the stream is constant-memory and deterministically ordered: k
+ascending, then compositions, intermediate strings and constant words each
+in lexicographic order.
+
+One fused core generates every pair.  Within a composition the pairs are a
+plain product of the intermediate strings and the valid words, taken in
+that order, so a record's generating triple is fixed by its position in the
+stream: provenance is read off the core's output, never replayed.
 
 ``enumerate_pairs`` is the full stream; ``pairs_for_composition`` is the
 independently consumable partition for one quotient degree sequence.  A
@@ -26,11 +31,10 @@ from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .compositions import Composition, compositions
-from .const_lang import ACCEPT, START, STATES, count_words, inverse_delta, is_valid_word, words_of_length
-from .euclid import dilcue
+from .const_lang import INV, START_INDEX, count_words, is_valid_word, reach_masks, words_of_length
 from .gf2poly import Poly, gcd, unit_polys
 
-ORACLE_DEGREE_LIMIT = 16
+ORACLE_DEGREE_LIMIT = 12
 
 Provenance = tuple[Composition, str, str]
 
@@ -148,44 +152,22 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
     _validate_parts(parts)
     if len(parts) < 2:
         raise ValueError("quotient degree sequences have at least two parts")
-    if with_provenance:
-        return _traced_pairs(parts)
-    return _fused_pairs(parts)
-
-
-def _traced_pairs(parts: Composition) -> Iterator[PairRecord]:
+    pairs = _fused_pairs(parts)
+    if not with_provenance:
+        return pairs
     k = len(parts)
-    for mids in intermediate_sequences(parts):
-        for word in words_of_length(k):
-            f, g = dilcue(assemble_quotients(parts, mids, word))
-            yield PairRecord(f, g, (parts, mids, word))
+    triples = (
+        (parts, mids, word) for mids in intermediate_sequences(parts) for word in words_of_length(k)
+    )
+    return (PairRecord(f, g, triple) for (f, g, _), triple in zip(pairs, triples, strict=True))
 
 
-# Hot path below: the constant-term word loop is fused with the dilcuE
-# replay, so quotient applications shared by words with a common prefix are
-# computed once.  Output order is identical to the traced path.
-
-_STATE_INDEX = {state: i for i, state in enumerate((START, (0, 1), (1, 1)))}
-_INV = tuple(
-    tuple(_STATE_INDEX[inverse_delta(state, s)] for s in (0, 1))
-    for state in (START, (0, 1), (1, 1))
-)
-_START_INDEX = _STATE_INDEX[START]
-_ACCEPT_INDEX = _STATE_INDEX[ACCEPT]
-
-
-def _reach_masks(k: int) -> list[int]:
-    """mask[r] = bitmask of state indices reaching ACCEPT in exactly r symbols."""
-    masks = [1 << _ACCEPT_INDEX]
-    for _ in range(k):
-        prev = masks[-1]
-        masks.append(sum(
-            1 << i
-            for i in range(len(STATES))
-            if (prev >> _INV[i][0]) & 1 or (prev >> _INV[i][1]) & 1
-        ))
-    return masks
-
+# The only pair generator.  The constant-term word loop is fused with the
+# dilcuE replay, so quotient applications shared by words with a common
+# prefix are computed once.  It walks const_lang's INV with the same pruning
+# and symbol order as ``words_of_length``, so each base tuple yields exactly
+# count_words(k) pairs, in word order: the position-based provenance above
+# relies on that.
 
 def _base_table(d: int) -> list[Poly]:
     """Monic degree-d quotient skeletons (constant bit clear), ordered so the
@@ -203,10 +185,10 @@ def _base_table(d: int) -> list[Poly]:
 
 def _fused_pairs(parts: Composition) -> Iterator[PairRecord]:
     k = len(parts)
-    inv = _INV
-    masks = _reach_masks(k)
+    inv = INV
+    masks = reach_masks(k)
     ok = tuple(
-        tuple(bool((masks[k - lvl - 1] >> i) & 1) for i in range(3))
+        tuple(bool((masks[k - lvl - 1] >> i) & 1) for i in range(len(inv)))
         for lvl in range(k)
     )
     tables = [_base_table(d) for d in parts]
@@ -220,7 +202,7 @@ def _fused_pairs(parts: Composition) -> Iterator[PairRecord]:
     for bases in product(*tables):
         va[0] = 1
         vb[0] = 0
-        st[0] = _START_INDEX
+        st[0] = START_INDEX
         nxt[0] = 0
         lvl = 0
         while lvl >= 0:
@@ -251,8 +233,10 @@ def _fused_pairs(parts: Composition) -> Iterator[PairRecord]:
 
 def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
     """Brute-force reference: gcd-filter all ordered pairs of degree n with
-    unit constant terms.  Guarded at degree ORACLE_DEGREE_LIMIT; the search
-    space is 4^(n-1) gcd computations.
+    unit constant terms.  The search space is 4^(n-1) gcd computations and
+    the result set holds count_pairs(n) tuples, so each degree costs about
+    four times the last in time and memory.  Guarded at degree
+    ORACLE_DEGREE_LIMIT.
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ocagen.cli import run
-from ocagen.enumeration import count_pairs
+from ocagen.enumeration import ORACLE_DEGREE_LIMIT, count_pairs
 from ocagen.gf2poly import gcd, parse_poly
 
 
@@ -89,6 +89,8 @@ class TestOracle:
         assert set(lines_of(capsys)) == oracle_lines
 
     def test_guard(self, capsys):
+        assert run(["oracle", "--degree", str(ORACLE_DEGREE_LIMIT + 1)]) == 1
+        assert "guard" in capsys.readouterr().err
         assert run(["oracle", "--degree", "17"]) == 1
         assert "guard" in capsys.readouterr().err
 

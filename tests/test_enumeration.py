@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from ocagen.compositions import compositions
+from ocagen.const_lang import words_of_length
 from ocagen.enumeration import (
     ORACLE_DEGREE_LIMIT,
     PairRecord,
@@ -12,7 +15,7 @@ from ocagen.enumeration import (
     oracle_pairs,
     pairs_for_composition,
 )
-from ocagen.euclid import euclid_trace
+from ocagen.euclid import dilcue, euclid_trace
 from ocagen.gf2poly import constant_term, degree, gcd
 
 # Full degree-3 stream in pinned order, from the quotient synthesis done by
@@ -21,6 +24,20 @@ GOLDEN_3 = [
     (0xB, 0x9), (0x9, 0xB), (0xF, 0xD), (0xD, 0xF), (0xD, 0x9),
     (0x9, 0xD), (0xB, 0xD), (0xD, 0xB), (0xF, 0xB), (0xB, 0xF),
 ]
+
+# sha256 of the degree-10 stream written as "%#x %#x\n" lines: the pinned
+# order, as `ocagen enumerate --degree 10 --format text` prints it.
+REFERENCE_SHA256_10 = "4e062eec03ea37c6cc389e023ced22fd9cb7fd9f247665e1e572123d6602fe6f"
+
+
+def replay_pairs(parts):
+    """Reference slice for one composition: every (intermediates, word)
+    triple in lexicographic order, each assembled and replayed through
+    dilcue from scratch."""
+    for mids in intermediate_sequences(parts):
+        for word in words_of_length(len(parts)):
+            f, g = dilcue(assemble_quotients(parts, mids, word))
+            yield PairRecord(f, g, (parts, mids, word))
 
 
 class TestIntermediateSequences:
@@ -96,11 +113,20 @@ class TestEnumerate:
             assert gcd(rec.f, rec.g) == 1
             assert rec.provenance is None
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_provenance_path_matches_fast_path(self, n):
-        fast = [(r.f, r.g) for r in enumerate_pairs(n)]
-        traced = [(r.f, r.g) for r in enumerate_pairs(n, with_provenance=True)]
-        assert fast == traced
+        for k in range(2, n + 1):
+            for parts in compositions(n, k):
+                replay = list(replay_pairs(parts))
+                assert list(pairs_for_composition(parts, True)) == replay
+                assert [(r.f, r.g) for r in pairs_for_composition(parts)] == [(r.f, r.g) for r in replay]
+
+    @pytest.mark.parametrize("with_provenance", [False, True])
+    def test_degree_10_order_pinned(self, with_provenance):
+        digest = hashlib.sha256()
+        for rec in enumerate_pairs(10, with_provenance):
+            digest.update(b"%#x %#x\n" % (rec.f, rec.g))
+        assert digest.hexdigest() == REFERENCE_SHA256_10
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_trace_inverts_assembly(self, n):
