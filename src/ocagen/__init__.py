@@ -48,8 +48,6 @@ from .oca import (
     LatinSquare,
     LocalRule,
     are_orthogonal,
-    ca_global_map,
-    is_bipermutive,
     is_latin,
     latin_square,
     poly_from_rule,
@@ -75,7 +73,6 @@ __all__ = [
     "are_orthogonal",
     "assemble_quotients",
     "bijection_flip",
-    "ca_global_map",
     "compositions",
     "constant_term",
     "count_compositions",
@@ -92,7 +89,6 @@ __all__ = [
     "gcd",
     "intermediate_sequences",
     "inverse_delta",
-    "is_bipermutive",
     "is_latin",
     "is_valid_word",
     "latin_square",

@@ -263,12 +263,12 @@ def _render_square(entries: tuple[tuple[int, ...], ...], order: int) -> str:
 
 
 def _cmd_square(args: argparse.Namespace) -> int:
-    first = latin_square(rule_from_poly(parse_poly(args.poly)))
-    second = None
-    if args.poly2 is not None:
-        second = latin_square(rule_from_poly(parse_poly(args.poly2)))
-    if args.check_orthogonal and second is None:
+    if args.check_orthogonal and args.poly2 is None:
         raise ValueError("--check-orthogonal needs --poly2")
+    first_rule = rule_from_poly(parse_poly(args.poly))
+    second_rule = rule_from_poly(parse_poly(args.poly2)) if args.poly2 is not None else None
+    first = latin_square(first_rule)
+    second = latin_square(second_rule) if second_rule is not None else None
     orthogonal = are_orthogonal(first, second) if args.check_orthogonal else None
     with _open_out(args.output) as out:
         if args.format == "json":

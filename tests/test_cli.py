@@ -5,6 +5,9 @@ import pytest
 from ocagen.cli import run
 from ocagen.enumeration import ORACLE_DEGREE_LIMIT, count_pairs
 from ocagen.gf2poly import gcd, parse_poly
+from ocagen.oca import SQUARE_DEGREE_LIMIT
+
+ABOVE_SQUARE_GUARD = hex((1 << (SQUARE_DEGREE_LIMIT + 1)) | 1)
 
 
 def lines_of(capsys):
@@ -180,6 +183,14 @@ class TestSquare:
 
     def test_check_needs_second_poly(self, capsys):
         assert run(["square", "--poly", "0x5", "--check-orthogonal"]) == 1
+        capsys.readouterr()
+        # the arguments are checked before any square is built
+        assert run(["square", "--poly", ABOVE_SQUARE_GUARD, "--check-orthogonal"]) == 1
+        assert "--poly2" in capsys.readouterr().err
+
+    def test_guard(self, capsys):
+        assert run(["square", "--poly", ABOVE_SQUARE_GUARD]) == 1
+        assert "limited to degree" in capsys.readouterr().err
 
     def test_invalid_polynomial(self, capsys):
         assert run(["square", "--poly", "0x6"]) == 1

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from ocagen.gf2poly import gcd, unit_polys
+from ocagen.gf2poly import gcd, mul, unit_polys
 from ocagen.oca import (
+    SQUARE_DEGREE_LIMIT,
     LatinSquare,
     LocalRule,
     are_orthogonal,
-    ca_global_map,
-    is_bipermutive,
     is_latin,
     latin_square,
     poly_from_rule,
@@ -19,19 +18,69 @@ RULE_150 = LocalRule.linear(0b111, 3)   # x0 ^ x1 ^ x2
 RULE_90 = LocalRule.linear(0b101, 3)    # x0 ^ x2
 
 
+# Reference: the sliding-window definition of a CA, independent of the
+# multiply-by-p construction that `latin_square` uses.
+
+def evaluate(rule, window):
+    """Apply the rule to one window of ``diameter`` cells."""
+    d = rule.diameter
+    if len(window) != d:
+        raise ValueError(f"window has {len(window)} cells, rule diameter is {d}")
+    out = 0
+    for i in range(d):
+        if (rule.coeffs >> i) & 1:
+            out ^= window[i] & 1
+    return out
+
+
+def global_map(rule, cells):
+    """Slide the rule over ``cells``; output has len(cells) - diameter + 1 bits."""
+    d = rule.diameter
+    m = len(cells)
+    if m < d:
+        raise ValueError(f"input length {m} is below the rule diameter {d}")
+    return [evaluate(rule, cells[i:i + d]) for i in range(m - d + 1)]
+
+
+def bits_msb_first(value, width):
+    return [(value >> (width - 1 - t)) & 1 for t in range(width)]
+
+
+def reference_square(rule):
+    """Global map on 2(d-1) cells, blocks decoded most-significant-bit first."""
+    nbits = rule.diameter - 1
+    n = 1 << nbits
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            out = global_map(rule, bits_msb_first(i, nbits) + bits_msb_first(j, nbits))
+            row.append(sum(bit << (nbits - 1 - t) for t, bit in enumerate(out)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def wolfram_number(rule):
-    return sum(bit << i for i, bit in enumerate(rule.truth_table()))
+    return sum(evaluate(rule, bits_msb_first(v, 3)) << v for v in range(8))
 
 
-def bipermutive_rule(d, middle_table):
-    """Truth-table rule x0 ^ g(x1..x_{d-2}) ^ x_{d-1} for a given table of g."""
-    table = []
+def flips_with_outermost_cells(rule):
+    """Whether flipping x_0 or x_{d-1} flips the output in every window."""
+    d = rule.diameter
     for v in range(1 << d):
-        x0 = (v >> (d - 1)) & 1
-        xl = v & 1
-        mid = (v >> 1) & ((1 << (d - 2)) - 1)
-        table.append(x0 ^ middle_table[mid] ^ xl)
-    return LocalRule.from_table(table)
+        window = bits_msb_first(v, d)
+        out = evaluate(rule, window)
+        for edge in (0, d - 1):
+            flipped = list(window)
+            flipped[edge] ^= 1
+            if evaluate(rule, flipped) == out:
+                return False
+    return True
+
+
+def random_unit_poly(rng, n):
+    """A uniformly random polynomial of degree n >= 1 with constant term 1."""
+    return (1 << n) | (rng.getrandbits(n - 1) << 1) | 1
 
 
 class TestLocalRule:
@@ -39,37 +88,26 @@ class TestLocalRule:
         assert wolfram_number(RULE_150) == 150
         assert wolfram_number(RULE_90) == 90
 
-    def test_kind(self):
-        assert RULE_150.kind == "linear"
-        assert LocalRule.from_table([0, 1, 1, 0]).kind == "general"
-
     def test_linear_needs_outermost_cells(self):
         with pytest.raises(ValueError):
             LocalRule.linear(0b110, 3)   # misses x0
         with pytest.raises(ValueError):
             LocalRule.linear(0b011, 3)   # misses x2
 
-    def test_table_shape_checked(self):
-        with pytest.raises(ValueError):
-            LocalRule(diameter=3, table=(0, 1, 0))
-        with pytest.raises(ValueError):
-            LocalRule(diameter=3, table=tuple([2] * 8))
-        with pytest.raises(ValueError):
+    def test_coeffs_checked(self):
+        with pytest.raises(TypeError):
             LocalRule(diameter=3)
         with pytest.raises(ValueError):
-            LocalRule(diameter=3, coeffs=0b111, table=(0,) * 8)
-
-    def test_from_table_infers_diameter(self):
-        rule = LocalRule.from_table([0, 1, 1, 0, 1, 0, 0, 1])
-        assert rule.diameter == 3
-        assert wolfram_number(rule) == 150
+            LocalRule.linear(0b1011, 3)  # wider than the diameter
+        with pytest.raises(ValueError):
+            LocalRule.linear(0b1, 0)
 
     def test_evaluate(self):
-        assert RULE_150.evaluate([1, 1, 0]) == 0
-        assert RULE_150.evaluate([1, 0, 0]) == 1
-        assert RULE_90.evaluate([1, 1, 0]) == 1
+        assert evaluate(RULE_150, [1, 1, 0]) == 0
+        assert evaluate(RULE_150, [1, 0, 0]) == 1
+        assert evaluate(RULE_90, [1, 1, 0]) == 1
         with pytest.raises(ValueError):
-            RULE_150.evaluate([1, 0])
+            evaluate(RULE_150, [1, 0])
 
 
 class TestRulePolyMap:
@@ -99,24 +137,20 @@ class TestRulePolyMap:
         with pytest.raises(ValueError):
             rule_from_poly(0x6)   # constant term 0
 
-    def test_general_rule_has_no_polynomial(self):
-        with pytest.raises(ValueError):
-            poly_from_rule(LocalRule.from_table([0, 1, 1, 0]))
-
 
 class TestGlobalMap:
     def test_example(self):
-        assert ca_global_map(RULE_150, [0, 1, 1, 0]) == [0, 0]
+        assert global_map(RULE_150, [0, 1, 1, 0]) == [0, 0]
 
     def test_zero_input(self):
-        assert ca_global_map(RULE_90, [0] * 8) == [0] * 6
+        assert global_map(RULE_90, [0] * 8) == [0] * 6
 
     def test_single_output_cell(self):
-        assert ca_global_map(RULE_150, [1, 0, 1]) == [0]
+        assert global_map(RULE_150, [1, 0, 1]) == [0]
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            ca_global_map(RULE_150, [1, 0])
+            global_map(RULE_150, [1, 0])
 
     def test_linear_rules_are_additive(self):
         rng = random.Random(3)
@@ -125,22 +159,14 @@ class TestGlobalMap:
             x = [rng.randint(0, 1) for _ in range(10)]
             y = [rng.randint(0, 1) for _ in range(10)]
             xy = [a ^ b for a, b in zip(x, y)]
-            fx, fy = ca_global_map(rule, x), ca_global_map(rule, y)
-            assert ca_global_map(rule, xy) == [a ^ b for a, b in zip(fx, fy)]
+            fx, fy = global_map(rule, x), global_map(rule, y)
+            assert global_map(rule, xy) == [a ^ b for a, b in zip(fx, fy)]
 
 
 class TestBipermutivity:
-    def test_examples(self):
-        assert is_bipermutive(RULE_150)
-        assert not is_bipermutive(LocalRule.from_table([0] * 8))
-        assert is_bipermutive(LocalRule.from_table([0, 1, 0, 1, 1, 0, 1, 0]))  # rule 90
-
-    def test_rule_30_is_not(self):
-        assert not is_bipermutive(LocalRule.from_table([0, 1, 1, 1, 1, 0, 0, 0]))
-
     @pytest.mark.parametrize("n", range(1, 7))
     def test_poly_rules_always_are(self, n):
-        assert all(is_bipermutive(rule_from_poly(p)) for p in unit_polys(n))
+        assert all(flips_with_outermost_cells(rule_from_poly(p)) for p in unit_polys(n))
 
 
 class TestLatinSquare:
@@ -154,10 +180,15 @@ class TestLatinSquare:
         assert square.entries == ((0, 1), (1, 0))
 
     def test_refuses_non_bipermutive(self):
+        # a rule that ignores an outermost cell cannot be built at all
         with pytest.raises(ValueError):
-            latin_square(LocalRule.from_table([0, 1, 1, 1, 1, 0, 0, 0]))
+            latin_square(LocalRule.linear(0b110, 3))
         with pytest.raises(ValueError):
             latin_square(LocalRule.linear(0b1, 1))
+
+    def test_guard(self):
+        with pytest.raises(ValueError, match="limited to degree"):
+            latin_square(rule_from_poly((1 << (SQUARE_DEGREE_LIMIT + 1)) | 1))
 
     def test_matches_global_map_definition(self):
         rule = rule_from_poly(0xB)
@@ -167,22 +198,27 @@ class TestLatinSquare:
             for j in range(n):
                 cells = [(i >> 2) & 1, (i >> 1) & 1, i & 1,
                          (j >> 2) & 1, (j >> 1) & 1, j & 1]
-                out = ca_global_map(rule, cells)
+                out = global_map(rule, cells)
                 assert square.entries[i][j] == (out[0] << 2) | (out[1] << 1) | out[2]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_reference_exhaustive(self, n):
+        for p in unit_polys(n):
+            rule = rule_from_poly(p)
+            assert latin_square(rule).entries == reference_square(rule)
+
+    @pytest.mark.parametrize("n, samples", [(6, 4), (7, 3), (8, 1)])
+    def test_matches_reference_sampled(self, n, samples):
+        rng = random.Random(n)
+        for _ in range(samples):
+            rule = rule_from_poly(random_unit_poly(rng, n))
+            assert latin_square(rule).entries == reference_square(rule)
 
     def test_all_linear_middle_rules_are_latin(self):
         for d in range(2, 8):
-            width = d - 2
-            for gmask in range(1 << width):
-                table = [(m & gmask).bit_count() & 1 for m in range(1 << width)]
-                assert is_latin(latin_square(bipermutive_rule(d, table)))
-
-    def test_random_general_rules_are_latin(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            d = rng.randint(2, 5)
-            table = [rng.randint(0, 1) for _ in range(1 << (d - 2))]
-            assert is_latin(latin_square(bipermutive_rule(d, table)))
+            for gmask in range(1 << (d - 2)):
+                rule = LocalRule.linear(1 | (gmask << 1) | (1 << (d - 1)), d)
+                assert is_latin(latin_square(rule))
 
 
 class TestChecks:
@@ -216,3 +252,19 @@ class TestChecks:
         for f in polys:
             for g in polys:
                 assert are_orthogonal(squares[f], squares[g]) == (gcd(f, g) == 1)
+
+    @pytest.mark.parametrize("n", range(7, 10))
+    def test_orthogonal_iff_coprime_sampled(self, n):
+        # half the pairs share a factor h of degree >= 1 by construction
+        rng = random.Random(n)
+        pairs = [(random_unit_poly(rng, n), random_unit_poly(rng, n)) for _ in range(3)]
+        for _ in range(3):
+            dh = rng.randint(1, n - 1)
+            h = random_unit_poly(rng, dh)
+            pairs.append((mul(h, random_unit_poly(rng, n - dh)),
+                          mul(h, random_unit_poly(rng, n - dh))))
+        for f, g in pairs:
+            sq_f, sq_g = latin_square(rule_from_poly(f)), latin_square(rule_from_poly(g))
+            assert is_latin(sq_f) and is_latin(sq_g)
+            assert are_orthogonal(sq_f, sq_g) == (gcd(f, g) == 1)
+        assert {gcd(f, g) == 1 for f, g in pairs} == {True, False}
