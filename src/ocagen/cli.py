@@ -148,14 +148,8 @@ def _write_pairs(out: TextIO, records: Iterable[PairRecord], fmt: str, n: int, t
             out.flush()
 
 
-def _require_degree(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    return n
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    n = _require_degree(args.degree)
+    n = args.degree
     limit = args.limit
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -173,7 +167,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    n = _require_degree(args.degree)
+    n = args.degree
     if args.method == "closed":
         value = count_pairs(n)
     elif args.method == "sum":
@@ -185,7 +179,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    n = _require_degree(args.degree)
+    n = args.degree
     pairs = sorted(oracle_pairs(n))
     records = [PairRecord(f, g) for f, g in pairs]
     with _open_out(args.output) as out:
@@ -267,6 +261,9 @@ def _cmd_square(args: argparse.Namespace) -> int:
         raise ValueError("--check-orthogonal needs --poly2")
     first_rule = rule_from_poly(parse_poly(args.poly))
     second_rule = rule_from_poly(parse_poly(args.poly2)) if args.poly2 is not None else None
+    if args.check_orthogonal and second_rule.diameter != first_rule.diameter:
+        raise ValueError(f"orders differ: {1 << (first_rule.diameter - 1)} vs "
+                         f"{1 << (second_rule.diameter - 1)}")
     first = latin_square(first_rule)
     second = latin_square(second_rule) if second_rule is not None else None
     orthogonal = are_orthogonal(first, second) if args.check_orthogonal else None
@@ -290,7 +287,7 @@ def _cmd_square(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    n = _require_degree(args.degree)
+    n = args.degree
     start = time.perf_counter()
     emitted = sum(1 for _ in enumerate_pairs(n))
     elapsed = time.perf_counter() - start

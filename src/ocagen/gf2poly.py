@@ -37,7 +37,8 @@ def add(a: Poly, b: Poly) -> Poly:
 
 
 def mul(a: Poly, b: Poly) -> Poly:
-    """Carry-less product of a and b."""
+    """Carry-less product of a and b: the package's one multiply, called by
+    the enumeration core, ``dilcue`` and ``latin_square``."""
     if a < b:
         a, b = b, a
     c = 0
@@ -51,19 +52,16 @@ def mul(a: Poly, b: Poly) -> Poly:
 def divmod_(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a divided by b, with degree(r) < degree(b).
 
+    The package's one division, called by ``gcd`` and ``euclid_trace``.
     Raises ZeroDivisionError for b = 0.
     """
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    m = a.bit_length() - 1
-    n = b.bit_length() - 1
-    if m < n:
-        return 0, a
+    n = b.bit_length()
     q = 0
-    for shift in range(m - n, -1, -1):
-        if (a >> (n + shift)) & 1:
-            a ^= b << shift
-            q |= 1 << shift
+    while (shift := a.bit_length() - n) >= 0:
+        a ^= b << shift
+        q |= 1 << shift
     return q, a
 
 
@@ -75,16 +73,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     while b:
-        a, b = b, _mod(a, b)
-    return a
-
-
-def _mod(a: Poly, b: Poly) -> Poly:
-    m = a.bit_length() - 1
-    n = b.bit_length() - 1
-    for shift in range(m - n, -1, -1):
-        if (a >> (n + shift)) & 1:
-            a ^= b << shift
+        a, b = b, divmod_(a, b)[1]
     return a
 
 

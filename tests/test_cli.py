@@ -31,9 +31,17 @@ class TestCount:
             results.append(lines_of(capsys))
         assert results[0] == results[1] == results[2]
 
-    def test_zero_degree_is_domain_error(self, capsys):
-        assert run(["count", "--degree", "0"]) == 1
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["enumerate"],
+        ["count", "--method", "closed"],
+        ["count", "--method", "sum"],
+        ["count", "--method", "oracle"],
+        ["oracle"],
+        ["bench"],
+    ], ids=["enumerate", "count-closed", "count-sum", "count-oracle", "oracle", "bench"])
+    def test_zero_degree_is_domain_error(self, argv, capsys):
+        assert run(argv + ["--degree", "0"]) == 1
+        assert "degree must be positive" in capsys.readouterr().err
 
 
 class TestEnumerate:
@@ -187,6 +195,20 @@ class TestSquare:
         # the arguments are checked before any square is built
         assert run(["square", "--poly", ABOVE_SQUARE_GUARD, "--check-orthogonal"]) == 1
         assert "--poly2" in capsys.readouterr().err
+
+    def test_orders_differ_before_build(self, capsys, monkeypatch):
+        def refuse(rule):
+            raise AssertionError("no square may be built")
+
+        monkeypatch.setattr("ocagen.cli.latin_square", refuse)
+        at_guard = hex((1 << SQUARE_DEGREE_LIMIT) | 1)
+        assert run(["square", "--poly", at_guard, "--poly2", "0x3",
+                    "--check-orthogonal"]) == 1
+        assert "orders differ" in capsys.readouterr().err
+
+    def test_mixed_orders_render_without_check(self, capsys):
+        assert run(["square", "--poly", "0x3", "--poly2", "0x5"]) == 0
+        assert lines_of(capsys) == ["0 1", "1 0", "", "0 1 2 3", "1 0 3 2", "2 3 0 1", "3 2 1 0"]
 
     def test_guard(self, capsys):
         assert run(["square", "--poly", ABOVE_SQUARE_GUARD]) == 1

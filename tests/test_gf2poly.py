@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ocagen.euclid import euclid_trace
 from ocagen.gf2poly import (
     DEGREE_OF_ZERO,
     add,
@@ -100,6 +101,8 @@ class TestArithmetic:
         assert divmod_(0xB, 0x5) == (2, 1)   # x^3+x+1 = x*(x^2+1) + 1
         assert divmod_(13, 1) == (13, 0)
         assert divmod_(5, 7) == (1, 2)       # equal degrees force quotient 1
+        assert divmod_(0, 5) == (0, 0)
+        assert divmod_(0x3, 0xB) == (0, 0x3)  # lower-degree dividend is the remainder
 
     def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -114,6 +117,23 @@ class TestArithmetic:
     def test_gcd_of_zeros(self):
         with pytest.raises(ValueError):
             gcd(0, 0)
+
+    def test_beyond_exhaustive_reach(self):
+        rng = random.Random(20261018)
+
+        def monic(d):
+            return (1 << d) | rng.getrandbits(d)
+
+        for _ in range(200):
+            a = monic(rng.randint(64, 1000))
+            b = monic(rng.randint(64, 1000))
+            h = monic(rng.randint(1, 64))
+            q, r = divmod_(a, b)
+            assert mul(q, b) ^ r == a
+            assert degree(r) < degree(b)
+            g = gcd(a, b)
+            assert gcd(mul(h, a), mul(h, b)) == mul(h, g)
+            assert g == euclid_trace(a, b).gcd
 
     @given(polys, polys.filter(bool))
     def test_divmod_identity(self, a, b):
