@@ -12,19 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from contextlib import contextmanager
 from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 from .compositions import compositions, count_compositions
 from .const_lang import count_words, words_of_length
-from .enumeration import PairRecord, count_pairs, count_pairs_sum, enumerate_pairs, oracle_pairs
+from .enumeration import count_pairs, count_pairs_sum, oracle_pairs, pair_tuples
 from .euclid import euclid_trace
-from .gf2poly import constant_term, degree, format_poly, gcd, parse_poly
+from .gf2poly import Poly, constant_term, degree, format_poly, gcd, parse_poly
 from .oca import are_orthogonal, latin_square, rule_from_poly
 
-FLUSH_EVERY = 1024  # records between stream flushes
+FLUSH_EVERY = 1024  # lines per block: one write and one flush each
 
 
 def main() -> None:
@@ -103,10 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-")
     p.set_defaults(handler=_cmd_square)
 
-    p = sub.add_parser("bench", help="time a full enumeration without output")
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(handler=_cmd_bench)
-
     return parser
 
 
@@ -119,33 +114,37 @@ def _open_out(path: str):
             yield fh
 
 
-def _checked(records: Iterable[PairRecord], n: int) -> Iterator[PairRecord]:
-    for rec in records:
-        if gcd(rec.f, rec.g) != 1:
-            raise ValueError(f"check failed: gcd({rec.f:#x}, {rec.g:#x}) != 1")
-        if degree(rec.f) != n or degree(rec.g) != n:
-            raise ValueError(f"check failed: ({rec.f:#x}, {rec.g:#x}) is not of degree {n}")
-        yield rec
+def _checked(pairs: Iterable[tuple[Poly, Poly]], n: int) -> Iterator[tuple[Poly, Poly]]:
+    for f, g in pairs:
+        if gcd(f, g) != 1:
+            raise ValueError(f"check failed: gcd({f:#x}, {g:#x}) != 1")
+        if degree(f) != n or degree(g) != n:
+            raise ValueError(f"check failed: ({f:#x}, {g:#x}) is not of degree {n}")
+        yield f, g
 
 
-def _write_pairs(out: TextIO, records: Iterable[PairRecord], fmt: str, n: int, total: int) -> None:
+def _write_blocks(out: TextIO, lines: Iterator[str], head: str = "", sep: str = "", tail: str = "") -> None:
+    """Write ``head``, the lines joined by ``sep``, then ``tail``: one write
+    and one flush per block of at most FLUSH_EVERY lines."""
+    lead = head
+    while block := sep.join(islice(lines, FLUSH_EVERY)):
+        out.write(lead + block)
+        out.flush()
+        lead = sep
+    if lead != sep:  # no line was written, so neither was the head
+        tail = head + tail
+    if tail:
+        out.write(tail)
+
+
+def _write_pairs(out: TextIO, pairs: Iterable[tuple[Poly, Poly]], fmt: str, n: int, total: int) -> None:
     if fmt == "json":
-        out.write('{"degree": %d, "count": %d, "pairs": [' % (n, total))
-        for i, rec in enumerate(records):
-            out.write('%s{"f": "%#x", "g": "%#x"}' % ("" if i == 0 else ", ", rec.f, rec.g))
-            if (i + 1) % FLUSH_EVERY == 0:
-                out.flush()
-        out.write("]}\n")
-        return
-    if fmt == "csv":
-        out.write("f,g\n")
-        template = "%#x,%#x\n"
+        _write_blocks(out, map('{"f": "%#x", "g": "%#x"}'.__mod__, pairs),
+                      '{"degree": %d, "count": %d, "pairs": [' % (n, total), ", ", "]}\n")
+    elif fmt == "csv":
+        _write_blocks(out, map("%#x,%#x\n".__mod__, pairs), "f,g\n")
     else:
-        template = "%#x %#x\n"
-    for i, rec in enumerate(records):
-        out.write(template % (rec.f, rec.g))
-        if (i + 1) % FLUSH_EVERY == 0:
-            out.flush()
+        _write_blocks(out, map("%#x %#x\n".__mod__, pairs))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -154,15 +153,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     total = count_pairs(n)
+    pairs: Iterable[tuple[Poly, Poly]] = pair_tuples(n)
     if limit is not None:
         total = min(total, limit)
-    records: Iterable[PairRecord] = enumerate_pairs(n)
-    if limit is not None:
-        records = islice(records, limit)
+        pairs = islice(pairs, limit)
     if args.check:
-        records = _checked(records, n)
+        pairs = _checked(pairs, n)
     with _open_out(args.output) as out:
-        _write_pairs(out, records, args.format, n, total)
+        _write_pairs(out, pairs, args.format, n, total)
     return 0
 
 
@@ -181,9 +179,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     n = args.degree
     pairs = sorted(oracle_pairs(n))
-    records = [PairRecord(f, g) for f, g in pairs]
     with _open_out(args.output) as out:
-        _write_pairs(out, records, args.format, n, len(records))
+        _write_pairs(out, pairs, args.format, n, len(pairs))
     return 0
 
 
@@ -232,10 +229,7 @@ def _cmd_words(args: argparse.Namespace) -> int:
         print(count_words(k))
         return 0
     with _open_out(args.output) as out:
-        for i, word in enumerate(words_of_length(k)):
-            out.write(word + "\n")
-            if (i + 1) % FLUSH_EVERY == 0:
-                out.flush()
+        _write_blocks(out, map("%s\n".__mod__, words_of_length(k)))
     return 0
 
 
@@ -244,10 +238,7 @@ def _cmd_compositions(args: argparse.Namespace) -> int:
         print(count_compositions(args.n, args.k))
         return 0
     with _open_out(args.output) as out:
-        for i, parts in enumerate(compositions(args.n, args.k)):
-            out.write(",".join(map(str, parts)) + "\n")
-            if (i + 1) % FLUSH_EVERY == 0:
-                out.flush()
+        _write_blocks(out, (",".join(map(str, parts)) + "\n" for parts in compositions(args.n, args.k)))
     return 0
 
 
@@ -283,16 +274,6 @@ def _cmd_square(args: argparse.Namespace) -> int:
             out.write("\n" + _render_square(second.entries, second.order) + "\n")
         if orthogonal is not None:
             out.write(f"\northogonal: {'yes' if orthogonal else 'no'}\n")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    n = args.degree
-    start = time.perf_counter()
-    emitted = sum(1 for _ in enumerate_pairs(n))
-    elapsed = time.perf_counter() - start
-    rate = emitted / elapsed if elapsed > 0 else float("inf")
-    print(f"degree {n}: {emitted} pairs in {elapsed:.3f}s ({rate:,.0f} pairs/s)")
     return 0
 
 

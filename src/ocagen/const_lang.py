@@ -19,6 +19,7 @@ and the number of valid words of length k is (2^k + 2*(-1)^k) / 3.
 
 from __future__ import annotations
 
+from itertools import chain, starmap
 from typing import Iterator
 
 CtState = tuple[int, int]
@@ -43,10 +44,8 @@ INVERSE_DELTA: dict[tuple[CtState, int], CtState] = {
     (dst, s): src for (src, s), dst in DELTA.items()
 }
 
-# The same inverse automaton indexed by integers, for the walkers: state i is
-# STATES[i] and INV[i][s] is the index of inverse_delta(STATES[i], s).
-# ``words_of_length`` and the enumerator's fused core both walk this table,
-# so they share transitions, pruning and symbol order.
+# The same inverse automaton indexed by integers, for ``word_blocks``: state
+# i is STATES[i] and INV[i][s] is the index of inverse_delta(STATES[i], s).
 INV: tuple[tuple[int, int], ...] = tuple(
     tuple(STATES.index(INVERSE_DELTA[(state, s)]) for s in (0, 1)) for state in STATES
 )
@@ -94,44 +93,82 @@ def count_words(k: int) -> int:
     return ((1 << k) + (2 if k % 2 == 0 else -2)) // 3
 
 
-def reach_masks(k: int) -> list[int]:
-    """mask[r] = bitmask of the state indices that reach ACCEPT in exactly r symbols."""
-    masks = [1 << STATES.index(ACCEPT)]
+def reach_counts(k: int) -> list[tuple[int, ...]]:
+    """counts[r][i] = number of words of length r that read state i back to
+    ACCEPT, for r = 0..k; counts[k][START_INDEX] == count_words(k)."""
+    counts = [tuple(int(state == ACCEPT) for state in STATES)]
     for _ in range(k):
-        prev = masks[-1]
-        masks.append(sum(
-            1 << i for i, (on0, on1) in enumerate(INV) if ((prev >> on0) | (prev >> on1)) & 1
-        ))
-    return masks
+        prev = counts[-1]
+        counts.append(tuple(prev[on0] + prev[on1] for on0, on1 in INV))
+    return counts
+
+
+# The package's one automaton walk.  A block's trie is built a level at a
+# time: levels[j] lists, for each node one symbol deeper, its (parent index,
+# symbol), in lexicographic order, and keeps only nodes that can still reach
+# ACCEPT in the symbols left.  ``words_of_length`` spells the leaves out, and
+# the enumeration core replays dilcuE along the same levels, so both share
+# transitions, pruning and order.
+Levels = list[list[tuple[int, int]]]
+
+
+def word_blocks(k: int, cap: int) -> Iterator[tuple[str, Levels]]:
+    """The valid words of length k, in lexicographic order, as blocks of at
+    most ``cap`` words (cap >= 1).
+
+    A block is (prefix, levels): the words that start with ``prefix``, as the
+    trie below it (see ``Levels`` above); its last level's nodes are the
+    block's words.  The prefix length is the least that keeps every block
+    within ``cap``, so the blocks are all the words at once when there are
+    at most ``cap`` of them.  Nothing is emitted when no word has length k.
+    """
+    counts = reach_counts(k)
+    p, states = 0, {START_INDEX}
+    while max(counts[k - p][i] for i in states) > cap:
+        p += 1
+        states = {INV[i][s] for i in states for s in (0, 1)}
+
+    def walk(state: int, prefix: str) -> Iterator[tuple[str, Levels]]:
+        if len(prefix) == p:
+            yield prefix, _levels(state, k - p, counts)
+            return
+        for s in (0, 1):
+            nxt = INV[state][s]
+            if counts[k - len(prefix) - 1][nxt]:
+                yield from walk(nxt, prefix + "01"[s])
+
+    if counts[k][START_INDEX]:
+        yield from walk(START_INDEX, "")
+
+
+def _levels(state: int, depth: int, counts: list[tuple[int, ...]]) -> Levels:
+    levels = []
+    states = [state]
+    for left in range(depth - 1, -1, -1):
+        level = [(i, s) for i, st in enumerate(states) for s in (0, 1) if counts[left][INV[st][s]]]
+        states = [INV[states[i]][s] for i, s in level]
+        levels.append(level)
+    return levels
+
+
+def spell(prefix: str, levels: Levels) -> list[str]:
+    """The words of one block of ``word_blocks``, in order."""
+    words = [prefix]
+    for level in levels:
+        words = [words[i] + "01"[s] for i, s in level]
+    return words
+
+
+# Words per block of ``words_of_length``; it bounds that listing's memory.
+BLOCK_WORDS = 1 << 16
 
 
 def words_of_length(k: int) -> Iterator[str]:
     """All valid words of length k, in lexicographic order (0 < 1).
 
-    Backtracking over the inverse automaton with remaining-length
-    feasibility pruning; emits exactly count_words(k) words.
+    Emits exactly count_words(k) words, spelled out one block of
+    ``word_blocks`` at a time.
     """
     if k < 0:
         raise ValueError("word length must be nonnegative")
-    return _words(k)
-
-
-def _words(k: int) -> Iterator[str]:
-    masks = reach_masks(k)
-    if not (masks[k] >> START_INDEX) & 1:
-        return
-    prefix: list[str] = []
-
-    def extend(state: int, remaining: int) -> Iterator[str]:
-        if remaining == 0:
-            yield "".join(prefix)
-            return
-        feasible = masks[remaining - 1]
-        for s in (0, 1):
-            nxt = INV[state][s]
-            if (feasible >> nxt) & 1:
-                prefix.append("01"[s])
-                yield from extend(nxt, remaining - 1)
-                prefix.pop()
-
-    yield from extend(START_INDEX, k)
+    return chain.from_iterable(starmap(spell, word_blocks(k, BLOCK_WORDS)))

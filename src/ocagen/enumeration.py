@@ -9,30 +9,34 @@ A pair of degree n is synthesized from three independent choices:
 The three pieces assemble into a quotient sequence [p_1, .., p_k, 1] (the
 trailing unit quotient is forced by the equal degrees), which dilcuE replays
 from the seed (1, 0) into the pair itself.  Every pair is produced exactly
-once; the stream is constant-memory and deterministically ordered: k
-ascending, then compositions, intermediate strings and constant words each
-in lexicographic order.
+once; the stream is deterministically ordered: k ascending, then
+compositions, intermediate strings and constant words each in
+lexicographic order.  It is built in chunks of at most CHUNK_PAIRS pairs,
+so its memory is bounded at any degree.
 
-One fused core generates every pair.  Within a composition the pairs are a
-plain product of the intermediate strings and the valid words, taken in
-that order, so a record's generating triple is fixed by its position in the
-stream: provenance is read off the core's output, never replayed.
+One vectorised core generates every pair.  Within a composition the pairs
+are a plain product of the intermediate strings and the valid words, taken
+in that order, so a record's generating triple is fixed by its position in
+the stream: provenance is read off the core's output, never replayed.
 
-``enumerate_pairs`` is the full stream; ``pairs_for_composition`` is the
-independently consumable partition for one quotient degree sequence.  A
+``enumerate_pairs`` is the full stream and ``pair_tuples`` the same stream
+as plain (f, g) tuples; ``pairs_for_composition`` is the independently
+consumable partition for one quotient degree sequence.  A
 brute-force ``oracle_pairs`` (direct gcd filtering) and the two exact
 counting forms are provided for verification.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, chain, product, repeat
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from operator import lshift, xor
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .compositions import Composition, compositions
-from .const_lang import INV, START_INDEX, count_words, is_valid_word, reach_masks, words_of_length
-from .gf2poly import Poly, gcd, mul, unit_polys
+from .const_lang import Levels, count_words, is_valid_word, spell, word_blocks
+from .gf2poly import Poly, gcd, unit_polys
 
 ORACLE_DEGREE_LIMIT = 12
 
@@ -133,13 +137,21 @@ def enumerate_pairs(n: int, with_provenance: bool = False) -> Iterator[PairRecor
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    return _all_pairs(n, with_provenance)
+    return chain.from_iterable(
+        pairs_for_composition(parts, with_provenance)
+        for k in range(2, n + 1) for parts in compositions(n, k)
+    )
 
 
-def _all_pairs(n: int, with_provenance: bool) -> Iterator[PairRecord]:
-    for k in range(2, n + 1):
-        for parts in compositions(n, k):
-            yield from pairs_for_composition(parts, with_provenance)
+def pair_tuples(n: int) -> Iterator[tuple[Poly, Poly]]:
+    """The pairs of ``enumerate_pairs(n)`` as plain (f, g) tuples, in the same
+    order, without building records: the form the CLI writes."""
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+    return chain.from_iterable(
+        zip(*_slice(parts, *chunk))
+        for k in range(2, n + 1) for parts in compositions(n, k) for chunk in _chunks(parts)
+    )
 
 
 def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> Iterator[PairRecord]:
@@ -152,81 +164,111 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
     _validate_parts(parts)
     if len(parts) < 2:
         raise ValueError("quotient degree sequences have at least two parts")
-    pairs = _fused_pairs(parts)
-    if not with_provenance:
-        return pairs
+    if with_provenance:
+        return chain.from_iterable(_traced_records(parts, chunk) for chunk in _chunks(parts))
+    return chain.from_iterable(_records(*_slice(parts, *chunk), repeat(None)) for chunk in _chunks(parts))
+
+
+# The only pair generator.  dilcuE advances (A, B) -> (q·A + B, A) per
+# quotient from (1, 0), and the forced unit quotient ends it at
+# (f, g) = (A + B, A).  A slice is a product of base tuples (the quotients'
+# degrees and intermediate terms, outermost) and constant-term words.  The
+# core walks the word trie of ``const_lang.word_blocks`` a level at a time
+# and keeps the values of A and B over every (trie node, base tuple), so a
+# level is a few list-wide passes (the continuants are multilinear in the
+# quotients), not a walk per base tuple.  At the leaves, f and g per
+# (word, base tuple) are transposed into stream order by zip.  A slice is
+# cut into chunks of at most CHUNK_PAIRS pairs by fixing leading
+# intermediate bits and, when the words alone are more, a word prefix.
+
+CHUNK_PAIRS = 1 << 16
+
+
+def _chunks(parts: Composition) -> Iterator[tuple[str, str, Levels]]:
+    """(fixed intermediate bits, word prefix, trie levels below it) of each
+    chunk of the slice, in stream order."""
     k = len(parts)
-    triples = (
-        (parts, mids, word) for mids in intermediate_sequences(parts) for word in words_of_length(k)
-    )
-    return (PairRecord(f, g, triple) for (f, g, _), triple in zip(pairs, triples, strict=True))
+    free = sum(parts) - k
+    words = count_words(k)
+    fixed = free
+    while fixed and words << (free - fixed + 1) <= CHUNK_PAIRS:
+        fixed -= 1
+    for mids in map("".join, product("01", repeat=fixed)):
+        blocks = _whole(k, CHUNK_PAIRS) if words <= CHUNK_PAIRS else word_blocks(k, CHUNK_PAIRS)
+        for prefix, levels in blocks:
+            yield mids, prefix, levels
 
 
-# The only pair generator.  The constant-term word loop is fused with the
-# dilcuE replay, so quotient applications shared by words with a common
-# prefix are computed once.  It walks const_lang's INV with the same pruning
-# and symbol order as ``words_of_length``, so each base tuple yields exactly
-# count_words(k) pairs, in word order: the position-based provenance above
-# relies on that.  Invariant: prod[lvl] = base·va + vb, computed by ``mul``
-# once on entering a level (prod[0] = base, as va = 1 and vb = 0), and
-# symbol s reads prod + s·va.  Sharing it matters: one ``mul`` per (level,
-# symbol) made the degree-11 drain about 20% slower.
-
-def _base_table(d: int) -> list[Poly]:
-    """Monic degree-d quotient skeletons (constant bit clear), ordered so the
-    table index follows lexicographic order of the intermediate slot string."""
-    top = 1 << d
-    table = []
-    for v in range(1 << (d - 1)):
-        bits = 0
-        for t in range(d - 1):
-            if (v >> (d - 2 - t)) & 1:
-                bits |= 1 << (t + 1)
-        table.append(top | bits)
-    return table
+@lru_cache(maxsize=1)
+def _whole(k: int, cap: int) -> list[tuple[str, Levels]]:
+    """The one word block of k, kept while consecutive compositions share k."""
+    return list(word_blocks(k, cap))
 
 
-def _fused_pairs(parts: Composition) -> Iterator[PairRecord]:
-    k = len(parts)
-    inv = INV
-    masks = reach_masks(k)
-    ok = tuple(
-        tuple(bool((masks[k - lvl - 1] >> i) & 1) for i in range(len(inv)))
-        for lvl in range(k)
-    )
-    tables = [_base_table(d) for d in parts]
-    record = PairRecord
-    top = k - 1
-    # Per-level dilcuE state: va, prod (above), automaton state, next symbol.
-    va = [0] * k
-    prod = [0] * k
-    st = [0] * k
-    nxt = [0] * k
-    for bases in product(*tables):
-        va[0] = 1
-        prod[0] = bases[0]
-        st[0] = START_INDEX
-        nxt[0] = 0
-        lvl = 0
-        while lvl >= 0:
-            s = nxt[lvl]
-            if s == 2:
-                lvl -= 1
-                continue
-            nxt[lvl] = s + 1
-            ns = inv[st[lvl]][s]
-            if not ok[lvl][ns]:
-                continue
-            a = va[lvl]
-            acc = prod[lvl] ^ a if s else prod[lvl]
-            if lvl == top:
-                yield record(acc ^ a, acc, None)
-            else:
-                lvl += 1
-                va[lvl] = acc
-                prod[lvl] = mul(bases[lvl], acc) ^ a
-                st[lvl] = ns
-                nxt[lvl] = 0
+def _slice(parts: Composition, mids: str, prefix: str, levels: Levels) -> tuple[Iterable[Poly], Iterable[Poly]]:
+    """f and g of one chunk's pairs, in stream order."""
+    trie = [[(0, int(s))] for s in prefix] + levels
+    offsets = accumulate((d - 1 for d in parts), initial=0)
+    steps = zip(parts, trie, [mids[o:o + d - 1] for o, d in zip(offsets, parts)])
+    # While each trie node has one base tuple, A and B are flat lists over
+    # the nodes, and a level gathers its children from one _step of all of
+    # them: per-node lists of length 1 would cost a _step call per node.
+    A, B = [1], [0]
+    for d, level, fixed in steps:
+        PX = _step(A, B, d, fixed)
+        size = len(PX[2]) // len(A)
+        if size > 1:
+            nodes = [(PX[s][i * size:(i + 1) * size], PX[1 - s][i * size:(i + 1) * size],
+                      PX[2][i * size:(i + 1) * size]) for i, s in level]
+            break
+        A = [PX[s][i] for i, s in level]
+        B = [PX[2][i] for i, _ in level]
+    else:
+        return list(map(xor, A, B)), A
+    # Then each node keeps (A, A + B, B) over its own base tuples.
+    for d, level, fixed in steps:
+        rows = [_step(a, b, d, fixed) for a, _, b in nodes]
+        nodes = [(rows[i][s], rows[i][1 - s], rows[i][2]) for i, s in level]
+    return (chain.from_iterable(zip(*[f for _, f, _ in nodes])),
+            chain.from_iterable(zip(*[g for g, _, _ in nodes])))
+
+
+def _step(A: list[Poly], B: list[Poly], d: int, fixed: str) -> tuple[list[Poly], list[Poly], list[Poly]]:
+    """One quotient of degree d applied to every entry of (A, B).
+
+    Returns (P, P + A', A'): P = b·a + b' for each entry (a, b') outermost
+    and each base b innermost, A' = a repeated to match.  A base is X^d plus
+    intermediate terms whose leading X^1.. coefficients are ``fixed`` and
+    whose others run in lexicographic order, X^1 most significant: doubling
+    along them from X^1 up gives that order with no multiply.  The children
+    for constant terms 0 and 1 are (P, A') and (P + A', A').
+    """
+    P = list(map(xor, map(lshift, A, repeat(d)), B))
+    for pos, bit in enumerate(fixed, 1):
+        if bit == "1":
+            P = list(map(xor, P, map(lshift, A, repeat(pos))))
+    for pos in range(len(fixed) + 1, d):
+        Q = P * 2
+        Q[::2] = P
+        Q[1::2] = map(xor, P, map(lshift, A, repeat(pos)))
+        P = Q
+        Q = A * 2
+        Q[::2] = Q[1::2] = A
+        A = Q
+    return P, list(map(xor, P, A)), A
+
+
+def _records(F: Iterable[Poly], G: Iterable[Poly], triples: Iterable) -> Iterator[PairRecord]:
+    return map(tuple.__new__, repeat(PairRecord), zip(F, G, triples))
+
+
+def _traced_records(parts: Composition, chunk: tuple[str, str, Levels]) -> Iterator[PairRecord]:
+    """One chunk's records with their triples: the words are the trie's
+    leaves and the intermediate strings count up from the fixed bits."""
+    mids, prefix, levels = chunk
+    suffixes = map("".join, product("01", repeat=sum(parts) - len(parts) - len(mids)))
+    triples = product((parts,), [mids + t for t in suffixes], spell(prefix, levels))
+    return _records(*_slice(parts, *chunk), triples)
 
 
 def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:

@@ -38,7 +38,8 @@ def add(a: Poly, b: Poly) -> Poly:
 
 def mul(a: Poly, b: Poly) -> Poly:
     """Carry-less product of a and b: the package's one multiply, called by
-    the enumeration core, ``dilcue`` and ``latin_square``."""
+    ``dilcue`` and ``latin_square``.  The enumeration core forms the same
+    products for whole lists at once, one shifted XOR per quotient bit."""
     if a < b:
         a, b = b, a
     c = 0

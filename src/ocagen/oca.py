@@ -19,7 +19,7 @@ polynomials are coprime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2poly import Poly, constant_term, degree, mul
 
@@ -28,8 +28,7 @@ from .gf2poly import Poly, constant_term, degree, mul
 SQUARE_DEGREE_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class LocalRule:
+class LocalRule(NamedTuple("LocalRule", [("diameter", int), ("coeffs", int)])):
     """A linear CA local rule of diameter d.
 
     ``coeffs`` is the coefficient mask (bit i = multiplier of cell x_i,
@@ -37,36 +36,35 @@ class LocalRule:
     (bits 0 and d-1 set).
     """
 
-    diameter: int
-    coeffs: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d = self.diameter
+    def __new__(cls, diameter: int, coeffs: int) -> "LocalRule":
+        d = diameter
         if d < 1:
             raise ValueError(f"diameter must be positive, got {d}")
-        if not 0 <= self.coeffs < (1 << d):
-            raise ValueError(f"coefficient mask {self.coeffs:#x} does not fit diameter {d}")
-        if not (self.coeffs & 1 and (self.coeffs >> (d - 1)) & 1):
+        if not 0 <= coeffs < (1 << d):
+            raise ValueError(f"coefficient mask {coeffs:#x} does not fit diameter {d}")
+        if not (coeffs & 1 and (coeffs >> (d - 1)) & 1):
             raise ValueError("linear rules must XOR both outermost cells")
+        return super().__new__(cls, diameter, coeffs)
 
     @classmethod
     def linear(cls, coeffs: int, diameter: int) -> "LocalRule":
         return cls(diameter=diameter, coeffs=coeffs)
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[tuple[int, ...], ...])])):
     """An order-N array over {0, .., N-1}; validity is checked by is_latin."""
 
-    order: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.order
+    def __new__(cls, order: int, entries: tuple[tuple[int, ...], ...]) -> "LatinSquare":
+        n = order
         if n < 1:
             raise ValueError(f"order must be positive, got {n}")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} array")
+        return super().__new__(cls, order, entries)
 
 
 def rule_from_poly(p: Poly) -> LocalRule:

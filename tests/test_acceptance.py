@@ -3,7 +3,7 @@
 Each test runs one acceptance criterion at its stated (exact) tolerance and
 prints a single PASS/FAIL line; run with ``pytest tests/test_acceptance.py -v -s``
 to see the lines as they complete.  The full-stream counting criterion
-walks all 44,739,242 pairs of degree 14 and takes a couple of minutes.
+walks all 44,739,242 pairs of degree 14 and takes about half a minute.
 """
 
 import random

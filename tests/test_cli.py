@@ -1,7 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ocagen
 from ocagen.cli import run
 from ocagen.enumeration import ORACLE_DEGREE_LIMIT, count_pairs
 from ocagen.gf2poly import gcd, parse_poly
@@ -10,8 +17,28 @@ from ocagen.oca import SQUARE_DEGREE_LIMIT
 ABOVE_SQUARE_GUARD = hex((1 << (SQUARE_DEGREE_LIMIT + 1)) | 1)
 
 
+# sha256 of the CLI's output for each writer format, taken from the line-by-
+# line writer that the block writer replaced.
+WRITER_SHA256 = {
+    ("enumerate", "--degree", "8", "--format", "csv"):
+        "2e5394ea9f98bdc3d16a5d961078f8ae6d947141518e9c9ef22026ce6f434886",
+    ("enumerate", "--degree", "8", "--format", "json"):
+        "2ca30bbc219295569970579da928c9e99860b128bfebaa44c34ecc361277ecbe",
+    ("enumerate", "--degree", "8", "--limit", "1000", "--check"):
+        "f90cded70c149462a3a6bf1d73f38d017d0107055154744bdc6d2868f6f902a9",
+    ("oracle", "--degree", "6"):
+        "a97f669c81de56147544da28b3c4cfa293c484a89bde365d9dd0bce0f20754f0",
+}
+
+
 def lines_of(capsys):
     return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv", list(WRITER_SHA256), ids=" ".join)
+def test_writer_output_pinned(argv, capsys):
+    assert run(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == WRITER_SHA256[argv]
 
 
 class TestCount:
@@ -37,8 +64,7 @@ class TestCount:
         ["count", "--method", "sum"],
         ["count", "--method", "oracle"],
         ["oracle"],
-        ["bench"],
-    ], ids=["enumerate", "count-closed", "count-sum", "count-oracle", "oracle", "bench"])
+    ], ids=["enumerate", "count-closed", "count-sum", "count-oracle", "oracle"])
     def test_zero_degree_is_domain_error(self, argv, capsys):
         assert run(argv + ["--degree", "0"]) == 1
         assert "degree must be positive" in capsys.readouterr().err
@@ -82,6 +108,19 @@ class TestEnumerate:
     def test_negative_limit(self, capsys):
         assert run(["enumerate", "--degree", "5", "--limit", "-1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_first_pairs_at_degree_64(self):
+        # the first chunk is bounded, so the first pairs come at once at any degree
+        src = str(Path(ocagen.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "ocagen", "enumerate", "--degree", "64", "--limit", "2"],
+                              capture_output=True, text=True, timeout=30, env=env)
+        elapsed = time.perf_counter() - start
+        top = 1 << 64
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"{top | 3:#x} {top | 1:#x}", f"{top | 1:#x} {top | 3:#x}"]
+        assert elapsed < 5
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "pairs.csv"
@@ -217,14 +256,6 @@ class TestSquare:
     def test_invalid_polynomial(self, capsys):
         assert run(["square", "--poly", "0x6"]) == 1
         assert "error" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_runs(self, capsys):
-        assert run(["bench", "--degree", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "42 pairs" in out
-        assert "pairs/s" in out
 
 
 class TestUsageErrors:

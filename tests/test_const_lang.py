@@ -9,11 +9,15 @@ from ocagen.const_lang import (
     ACCEPT,
     DELTA,
     START,
+    START_INDEX,
     STATES,
     count_words,
     delta,
     inverse_delta,
     is_valid_word,
+    reach_counts,
+    spell,
+    word_blocks,
     words_of_length,
 )
 
@@ -112,6 +116,28 @@ class TestWords:
     def test_negative_length(self):
         with pytest.raises(ValueError):
             words_of_length(-1)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7, 64])
+    def test_blocks_partition_the_words(self, cap):
+        for k in range(0, 13):
+            blocks = list(word_blocks(k, cap))
+            assert [w for block in blocks for w in spell(*block)] == list(words_of_length(k))
+            assert all(1 <= len(spell(*block)) <= cap for block in blocks)
+            if count_words(k) <= cap:
+                assert [prefix for prefix, _ in blocks] == ([""] if count_words(k) else [])
+
+    def test_reach_counts(self):
+        counts = reach_counts(20)
+        assert [row[START_INDEX] for row in counts] == [count_words(k) for k in range(21)]
+        for k in range(11):
+            for i, state in enumerate(STATES):
+                landed = 0
+                for bits in product((0, 1), repeat=k):
+                    s = state
+                    for b in bits:
+                        s = inverse_delta(s, b)
+                    landed += s == ACCEPT
+                assert counts[k][i] == landed
 
 
 class TestCounts:

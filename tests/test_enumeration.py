@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from ocagen import enumeration
 from ocagen.compositions import compositions
 from ocagen.const_lang import words_of_length
 from ocagen.enumeration import (
@@ -13,6 +14,7 @@ from ocagen.enumeration import (
     enumerate_pairs,
     intermediate_sequences,
     oracle_pairs,
+    pair_tuples,
     pairs_for_composition,
 )
 from ocagen.euclid import dilcue, euclid_trace
@@ -98,6 +100,8 @@ class TestEnumerate:
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             enumerate_pairs(0)
+        with pytest.raises(ValueError):
+            pair_tuples(0)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_oracle_without_duplicates(self, n):
@@ -120,6 +124,24 @@ class TestEnumerate:
                 replay = list(replay_pairs(parts))
                 assert list(pairs_for_composition(parts, True)) == replay
                 assert [(r.f, r.g) for r in pairs_for_composition(parts)] == [(r.f, r.g) for r in replay]
+
+    @pytest.mark.parametrize("cap", [3, 40])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_chunk_boundaries(self, n, cap, monkeypatch):
+        # The cap is 2^16, which no slice reaches below degree 18.  A small
+        # cap splits the slices at fixed intermediate bits (40) and, as soon
+        # as the words alone exceed it, at word prefixes too (3).
+        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", cap)
+        for k in range(2, n + 1):
+            for parts in compositions(n, k):
+                assert list(pairs_for_composition(parts, True)) == list(replay_pairs(parts))
+                for chunk in enumeration._chunks(parts):
+                    F, G = map(list, enumeration._slice(parts, *chunk))
+                    assert 0 < len(F) == len(G) <= cap
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_pair_tuples_match_records(self, n):
+        assert list(pair_tuples(n)) == [(r.f, r.g) for r in enumerate_pairs(n)]
 
     @pytest.mark.parametrize("with_provenance", [False, True])
     def test_degree_10_order_pinned(self, with_provenance):
