@@ -1,16 +1,18 @@
 """The finite automaton over constant-term pairs and its word language.
 
-During a division step r_i = q*r_{i+1} + r_{i+2}, the pair of constant
-terms (c_i, c_{i+1}) of the current dividend and divisor changes only as a
-function of the quotient's constant term s.  The pair (0, 0) cannot occur
-for inputs with unit constant terms, so the state space has three elements.
+During a division step r_i = q*r_{i+1} + r_{i+2}, the constant terms
+(c_i, c_{i+1}) of the current dividend and divisor become (c_{i+1}, c_{i+2})
+with c_{i+2} = c_i + s·c_{i+1} over GF(2), where s is the quotient's
+constant term.  The pair (0, 0) cannot occur for inputs with unit constant
+terms, so the state space has three elements.
 
-``delta`` is the forward (division-order) transition; each symbol induces a
-permutation of the states, so the automaton is invertible symbol by symbol
-and ``inverse_delta`` is total.  A constant-term word s_1..s_k is *valid*
-(it belongs to the language of sequences that synthesize a coprime pair
-with unit constant terms) exactly when the inverse automaton, started at
-(1, 0), reads the word back to (1, 0).  The equivalent regular expression is
+``delta`` is that recurrence, the forward (division-order) transition; each
+symbol induces a permutation of the states, so the automaton is invertible
+symbol by symbol and ``inverse_delta`` is total.  A constant-term word
+s_1..s_k is *valid* (it belongs to the language of sequences that synthesize
+a coprime pair with unit constant terms) exactly when the inverse automaton,
+started at (1, 0), reads the word back to (1, 0).  The equivalent regular
+expression is
 
     (0(0+1) + (10*1(0+1)))*
 
@@ -29,43 +31,32 @@ STATES: tuple[CtState, ...] = ((1, 1), (1, 0), (0, 1))
 START: CtState = (1, 0)
 ACCEPT: CtState = (1, 0)
 
-# Forward transition: (state, quotient constant term) -> next state.
-DELTA: dict[tuple[CtState, int], CtState] = {
-    ((1, 1), 0): (1, 1),
-    ((1, 1), 1): (1, 0),
-    ((1, 0), 0): (0, 1),
-    ((1, 0), 1): (0, 1),
-    ((0, 1), 0): (1, 0),
-    ((0, 1), 1): (1, 1),
-}
-
-# Arrows reversed; well-defined because delta(., s) is injective per symbol.
-INVERSE_DELTA: dict[tuple[CtState, int], CtState] = {
-    (dst, s): src for (src, s), dst in DELTA.items()
-}
-
-# The same inverse automaton indexed by integers, for ``word_blocks``: state
-# i is STATES[i] and INV[i][s] is the index of inverse_delta(STATES[i], s).
-INV: tuple[tuple[int, int], ...] = tuple(
-    tuple(STATES.index(INVERSE_DELTA[(state, s)]) for s in (0, 1)) for state in STATES
-)
 START_INDEX = STATES.index(START)
 
 
+def _checked(state: CtState, s: int) -> CtState:
+    if state not in STATES or s not in (0, 1):
+        raise ValueError(f"invalid state/symbol pair ({state!r}, {s!r})")
+    return state
+
+
 def delta(state: CtState, s: int) -> CtState:
-    """Forward transition for one division step with quotient constant term s."""
-    try:
-        return DELTA[(state, s)]
-    except KeyError:
-        raise ValueError(f"invalid state/symbol pair ({state!r}, {s!r})") from None
+    """One division step with quotient constant term s: (c1, c2) -> (c2, c1 + s·c2)."""
+    c1, c2 = _checked(state, s)
+    return c2, c1 ^ (s & c2)
 
 
 def inverse_delta(state: CtState, s: int) -> CtState:
-    """Unique predecessor of ``state`` under ``delta`` for symbol s."""
-    try:
-        return INVERSE_DELTA[(state, s)]
-    except KeyError:
-        raise ValueError(f"invalid state/symbol pair ({state!r}, {s!r})") from None
+    """The unique predecessor under ``delta``: (c1, c2) -> (c2 + s·c1, c1)."""
+    c1, c2 = _checked(state, s)
+    return c2 ^ (s & c1), c1
+
+
+# The inverse automaton on state indices, which every walk below reads:
+# INV[i][s] is the index of inverse_delta(STATES[i], s).
+INV: tuple[tuple[int, int], ...] = tuple(
+    tuple(STATES.index(inverse_delta(state, s)) for s in (0, 1)) for state in STATES
+)
 
 
 def is_valid_word(word: str) -> bool:
@@ -74,12 +65,12 @@ def is_valid_word(word: str) -> bool:
     Runs the inverse automaton from (1, 0); accepts in (1, 0).  The empty
     word is valid.  Raises ValueError on characters other than 0 and 1.
     """
-    state = START
+    state = START_INDEX
     for ch in word:
         if ch not in "01":
             raise ValueError(f"word must consist of 0s and 1s, got {ch!r}")
-        state = INVERSE_DELTA[(state, int(ch))]
-    return state == ACCEPT
+        state = INV[state][int(ch)]
+    return STATES[state] == ACCEPT
 
 
 def count_words(k: int) -> int:

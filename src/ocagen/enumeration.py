@@ -49,13 +49,17 @@ class PairRecord(NamedTuple):
     provenance: Optional[Provenance] = None
 
 
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+
+
 def count_pairs(n: int) -> int:
     """Number of coprime ordered pairs of degree n with unit constant terms.
 
     Closed form 2*(4^(n-1) - 1)/3, exact; 0 for n = 1.
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
+    _check_degree(n)
     return 2 * ((1 << (2 * (n - 1))) - 1) // 3
 
 
@@ -65,8 +69,7 @@ def count_pairs_sum(n: int) -> int:
     Sums, over sequence lengths k = 2..n, the product of the number of
     compositions, free intermediate strings, and valid constant-term words.
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
+    _check_degree(n)
     return sum(
         (1 << (n - k)) * comb(n - 1, k - 1) * count_words(k)
         for k in range(2, n + 1)
@@ -79,10 +82,14 @@ def intermediate_sequences(parts: Composition) -> Iterator[str]:
     A k-composition of n leaves n-k free coefficient slots; each 0/1 string
     of that length is emitted exactly once.
     """
-    k = len(parts)
-    n = sum(parts)
     _validate_parts(parts)
-    return ("".join(bits) for bits in product("01", repeat=n - k))
+    return _bit_strings(sum(parts) - len(parts))
+
+
+def _bit_strings(length: int) -> Iterator[str]:
+    """Every 0/1 string of ``length`` bits, in lexicographic order: the
+    order of the intermediate strings throughout the stream."""
+    return map("".join, product("01", repeat=length))
 
 
 def assemble_quotients(parts: Composition, intermediates: str, word: str) -> tuple[Poly, ...]:
@@ -135,23 +142,21 @@ def enumerate_pairs(n: int, with_provenance: bool = False) -> Iterator[PairRecor
     ``with_provenance`` each record carries its generating triple
     (composition, intermediate string, constant-term word).
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    return chain.from_iterable(
-        pairs_for_composition(parts, with_provenance)
-        for k in range(2, n + 1) for parts in compositions(n, k)
-    )
+    return chain.from_iterable(pairs_for_composition(parts, with_provenance) for parts in _compositions(n))
 
 
 def pair_tuples(n: int) -> Iterator[tuple[Poly, Poly]]:
     """The pairs of ``enumerate_pairs(n)`` as plain (f, g) tuples, in the same
     order, without building records: the form the CLI writes."""
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
     return chain.from_iterable(
-        zip(*_slice(parts, *chunk))
-        for k in range(2, n + 1) for parts in compositions(n, k) for chunk in _chunks(parts)
+        zip(*_slice(parts, *chunk)) for parts in _compositions(n) for chunk in _chunks(parts)
     )
+
+
+def _compositions(n: int) -> Iterator[Composition]:
+    """The quotient degree sequences of the degree-n stream, in stream order."""
+    _check_degree(n)
+    return chain.from_iterable(compositions(n, k) for k in range(2, n + 1))
 
 
 def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> Iterator[PairRecord]:
@@ -164,9 +169,16 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
     _validate_parts(parts)
     if len(parts) < 2:
         raise ValueError("quotient degree sequences have at least two parts")
-    if with_provenance:
-        return chain.from_iterable(_traced_records(parts, chunk) for chunk in _chunks(parts))
-    return chain.from_iterable(_records(*_slice(parts, *chunk), repeat(None)) for chunk in _chunks(parts))
+    # Records are built in C.  A chunk's triples are its intermediate strings,
+    # counting up from the fixed bits, times its words, the trie's leaves.
+    free = sum(parts) - len(parts)
+    return chain.from_iterable(
+        map(tuple.__new__, repeat(PairRecord),
+            zip(*_slice(parts, mids, prefix, levels), triples or repeat(None)))
+        for mids, prefix, levels in _chunks(parts)
+        for triples in [with_provenance and product(
+            (parts,), map(mids.__add__, _bit_strings(free - len(mids))), spell(prefix, levels))]
+    )
 
 
 # The only pair generator.  dilcuE advances (A, B) -> (q·A + B, A) per
@@ -193,7 +205,7 @@ def _chunks(parts: Composition) -> Iterator[tuple[str, str, Levels]]:
     fixed = free
     while fixed and words << (free - fixed + 1) <= CHUNK_PAIRS:
         fixed -= 1
-    for mids in map("".join, product("01", repeat=fixed)):
+    for mids in _bit_strings(fixed):
         blocks = _whole(k, CHUNK_PAIRS) if words <= CHUNK_PAIRS else word_blocks(k, CHUNK_PAIRS)
         for prefix, levels in blocks:
             yield mids, prefix, levels
@@ -258,19 +270,6 @@ def _step(A: list[Poly], B: list[Poly], d: int, fixed: str) -> tuple[list[Poly],
     return P, list(map(xor, P, A)), A
 
 
-def _records(F: Iterable[Poly], G: Iterable[Poly], triples: Iterable) -> Iterator[PairRecord]:
-    return map(tuple.__new__, repeat(PairRecord), zip(F, G, triples))
-
-
-def _traced_records(parts: Composition, chunk: tuple[str, str, Levels]) -> Iterator[PairRecord]:
-    """One chunk's records with their triples: the words are the trie's
-    leaves and the intermediate strings count up from the fixed bits."""
-    mids, prefix, levels = chunk
-    suffixes = map("".join, product("01", repeat=sum(parts) - len(parts) - len(mids)))
-    triples = product((parts,), [mids + t for t in suffixes], spell(prefix, levels))
-    return _records(*_slice(parts, *chunk), triples)
-
-
 def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
     """Brute-force reference: gcd-filter all ordered pairs of degree n with
     unit constant terms.  The search space is 4^(n-1) gcd computations and
@@ -278,8 +277,7 @@ def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
     four times the last in time and memory.  Guarded at degree
     ORACLE_DEGREE_LIMIT.
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
+    _check_degree(n)
     if n > ORACLE_DEGREE_LIMIT:
         raise ValueError(
             f"oracle degree {n} exceeds the guard {ORACLE_DEGREE_LIMIT}; "

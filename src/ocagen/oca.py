@@ -49,8 +49,9 @@ class LocalRule(NamedTuple("LocalRule", [("diameter", int), ("coeffs", int)])):
         return super().__new__(cls, diameter, coeffs)
 
     @classmethod
-    def linear(cls, coeffs: int, diameter: int) -> "LocalRule":
-        return cls(diameter=diameter, coeffs=coeffs)
+    def _make(cls, iterable) -> "LocalRule":
+        # namedtuple's _make (and _replace, which calls it) skips __new__.
+        return cls(*iterable)
 
 
 class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[tuple[int, ...], ...])])):
@@ -66,6 +67,10 @@ class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[t
             raise ValueError(f"entries must form an {n}x{n} array")
         return super().__new__(cls, order, entries)
 
+    @classmethod
+    def _make(cls, iterable) -> "LatinSquare":
+        return cls(*iterable)
+
 
 def rule_from_poly(p: Poly) -> LocalRule:
     """Linear rule of diameter degree(p)+1 with cell coefficients read off p.
@@ -77,7 +82,7 @@ def rule_from_poly(p: Poly) -> LocalRule:
         raise ValueError(f"polynomial {p:#x} must have degree at least 1")
     if not constant_term(p):
         raise ValueError(f"polynomial {p:#x} must have constant term 1")
-    return LocalRule.linear(p, p.bit_length())
+    return LocalRule(p.bit_length(), p)
 
 
 def poly_from_rule(rule: LocalRule) -> Poly:

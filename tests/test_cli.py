@@ -18,7 +18,8 @@ ABOVE_SQUARE_GUARD = hex((1 << (SQUARE_DEGREE_LIMIT + 1)) | 1)
 
 
 # sha256 of the CLI's output for each writer format, taken from the line-by-
-# line writer that the block writer replaced.
+# line writer that the block writer replaced; the words and compositions
+# listings pin the automaton's word order and the composition order.
 WRITER_SHA256 = {
     ("enumerate", "--degree", "8", "--format", "csv"):
         "2e5394ea9f98bdc3d16a5d961078f8ae6d947141518e9c9ef22026ce6f434886",
@@ -28,6 +29,13 @@ WRITER_SHA256 = {
         "f90cded70c149462a3a6bf1d73f38d017d0107055154744bdc6d2868f6f902a9",
     ("oracle", "--degree", "6"):
         "a97f669c81de56147544da28b3c4cfa293c484a89bde365d9dd0bce0f20754f0",
+    # 87,382 words: two 2^16-word blocks
+    ("words", "--length", "18"):
+        "aa4c25fd1bdbc97e02c0a741919a6fea57502a8332b649f46040df021f029b99",
+    ("words", "--length", "12"):
+        "7a909cf4dd70ad12c8e6b08ac4f310167b78904eb159d7aa0eab8b417268adfd",
+    ("compositions", "--n", "9", "--k", "4"):
+        "64d1daab4915d66dc67ee6a1e82f2d17e24e8b9aca8d53718e1ee4aeeac98e95",
 }
 
 

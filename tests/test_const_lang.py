@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ocagen.const_lang import (
     ACCEPT,
-    DELTA,
     START,
     START_INDEX,
     STATES,
@@ -32,7 +31,7 @@ def re_valid(word):
 
 class TestTransitions:
     def test_forward_table(self):
-        assert DELTA == {
+        assert {(q, s): delta(q, s) for q in STATES for s in (0, 1)} == {
             ((1, 1), 0): (1, 1),
             ((1, 1), 1): (1, 0),
             ((1, 0), 0): (0, 1),

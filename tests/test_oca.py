@@ -14,8 +14,8 @@ from ocagen.oca import (
     rule_from_poly,
 )
 
-RULE_150 = LocalRule.linear(0b111, 3)   # x0 ^ x1 ^ x2
-RULE_90 = LocalRule.linear(0b101, 3)    # x0 ^ x2
+RULE_150 = LocalRule(3, 0b111)   # x0 ^ x1 ^ x2
+RULE_90 = LocalRule(3, 0b101)    # x0 ^ x2
 
 
 # Reference: the sliding-window definition of a CA, independent of the
@@ -90,17 +90,30 @@ class TestLocalRule:
 
     def test_linear_needs_outermost_cells(self):
         with pytest.raises(ValueError):
-            LocalRule.linear(0b110, 3)   # misses x0
+            LocalRule(3, 0b110)   # misses x0
         with pytest.raises(ValueError):
-            LocalRule.linear(0b011, 3)   # misses x2
+            LocalRule(3, 0b011)   # misses x2
 
     def test_coeffs_checked(self):
         with pytest.raises(TypeError):
             LocalRule(diameter=3)
         with pytest.raises(ValueError):
-            LocalRule.linear(0b1011, 3)  # wider than the diameter
+            LocalRule(3, 0b1011)  # wider than the diameter
         with pytest.raises(ValueError):
-            LocalRule.linear(0b1, 0)
+            LocalRule(0, 0b1)
+
+    def test_replace_and_make_are_checked(self):
+        with pytest.raises(ValueError):
+            LocalRule(3, 7)._replace(coeffs=0)
+        with pytest.raises(ValueError):
+            LocalRule._make([3, 2])
+        with pytest.raises(ValueError):
+            LatinSquare(2, ((0, 1), (1, 0)))._replace(order=5)
+        assert RULE_150._replace(coeffs=0b101) == RULE_90
+        assert type(RULE_150._replace(coeffs=0b101)) is LocalRule
+        assert LocalRule._make([2, 0b11]) == LocalRule(2, 0b11)
+        square = LatinSquare(1, ((0,),))._replace(order=2, entries=((0, 1), (1, 0)))
+        assert square == latin_square(LocalRule(2, 0b11))
 
     def test_evaluate(self):
         assert evaluate(RULE_150, [1, 1, 0]) == 0
@@ -114,12 +127,12 @@ class TestRulePolyMap:
     def test_examples(self):
         assert rule_from_poly(0x7) == RULE_150
         assert rule_from_poly(0x5) == RULE_90
-        assert rule_from_poly(0x3) == LocalRule.linear(0b11, 2)
+        assert rule_from_poly(0x3) == LocalRule(2, 0b11)
 
     def test_inverse_examples(self):
         assert poly_from_rule(RULE_90) == 0x5
-        assert poly_from_rule(LocalRule.linear(0b11, 2)) == 0x3
-        assert poly_from_rule(LocalRule.linear(0b1011, 4)) == 0xB
+        assert poly_from_rule(LocalRule(2, 0b11)) == 0x3
+        assert poly_from_rule(LocalRule(4, 0b1011)) == 0xB
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_round_trip(self, n):
@@ -176,15 +189,15 @@ class TestLatinSquare:
         assert square.entries == tuple(tuple(i ^ j for j in range(4)) for i in range(4))
 
     def test_diameter_2(self):
-        square = latin_square(LocalRule.linear(0b11, 2))
+        square = latin_square(LocalRule(2, 0b11))
         assert square.entries == ((0, 1), (1, 0))
 
     def test_refuses_non_bipermutive(self):
         # a rule that ignores an outermost cell cannot be built at all
         with pytest.raises(ValueError):
-            latin_square(LocalRule.linear(0b110, 3))
+            latin_square(LocalRule(3, 0b110))
         with pytest.raises(ValueError):
-            latin_square(LocalRule.linear(0b1, 1))
+            latin_square(LocalRule(1, 0b1))
 
     def test_guard(self):
         with pytest.raises(ValueError, match="limited to degree"):
@@ -217,7 +230,7 @@ class TestLatinSquare:
     def test_all_linear_middle_rules_are_latin(self):
         for d in range(2, 8):
             for gmask in range(1 << (d - 2)):
-                rule = LocalRule.linear(1 | (gmask << 1) | (1 << (d - 1)), d)
+                rule = LocalRule(d, 1 | (gmask << 1) | (1 << (d - 1)))
                 assert is_latin(latin_square(rule))
 
 
@@ -243,7 +256,7 @@ class TestChecks:
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
-            are_orthogonal(latin_square(RULE_90), latin_square(LocalRule.linear(0b11, 2)))
+            are_orthogonal(latin_square(RULE_90), latin_square(LocalRule(2, 0b11)))
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_orthogonal_iff_coprime(self, n):
