@@ -18,12 +18,12 @@ from typing import Iterable, Iterator, TextIO
 
 from .compositions import compositions, count_compositions
 from .const_lang import count_words, words_of_length
-from .enumeration import count_pairs, count_pairs_sum, oracle_pairs, pair_tuples
+from .enumeration import count_pairs, count_pairs_sum, oracle_pairs, pair_chunks
 from .euclid import euclid_trace
 from .gf2poly import Poly, constant_term, degree, format_poly, gcd, parse_poly
 from .oca import are_orthogonal, latin_square, rule_from_poly
 
-FLUSH_EVERY = 1024  # lines per block: one write and one flush each
+FLUSH_EVERY = 1024  # lines per block of a words, compositions or oracle listing
 
 
 def main() -> None:
@@ -114,37 +114,51 @@ def _open_out(path: str):
             yield fh
 
 
-def _checked(pairs: Iterable[tuple[Poly, Poly]], n: int) -> Iterator[tuple[Poly, Poly]]:
-    for f, g in pairs:
-        if gcd(f, g) != 1:
-            raise ValueError(f"check failed: gcd({f:#x}, {g:#x}) != 1")
-        if degree(f) != n or degree(g) != n:
-            raise ValueError(f"check failed: ({f:#x}, {g:#x}) is not of degree {n}")
-        yield f, g
+def _checked(chunks: Iterable[tuple[Poly, ...]], n: int) -> Iterator[tuple[Poly, ...]]:
+    """The chunks, each passed on once every pair in it is checked."""
+    for flat in chunks:
+        pairs = iter(flat)
+        for f, g in zip(pairs, pairs):
+            if gcd(f, g) != 1:
+                raise ValueError(f"check failed: gcd({f:#x}, {g:#x}) != 1")
+            if degree(f) != n or degree(g) != n:
+                raise ValueError(f"check failed: ({f:#x}, {g:#x}) is not of degree {n}")
+        yield flat
 
 
-def _write_blocks(out: TextIO, lines: Iterator[str], head: str = "", sep: str = "", tail: str = "") -> None:
-    """Write ``head``, the lines joined by ``sep``, then ``tail``: one write
-    and one flush per block of at most FLUSH_EVERY lines."""
+def _limited(chunks: Iterator[tuple[Poly, ...]], size: int) -> Iterator[tuple[Poly, ...]]:
+    """The chunks cut to ``size`` entries in all; none past the cut is made."""
+    while size > 0 and (flat := next(chunks, None)) is not None:
+        yield flat[:size]
+        size -= len(flat)
+
+
+def _line_blocks(lines: Iterator[str], sep: str = "") -> Iterator[str]:
+    """The lines joined by ``sep`` in blocks of at most FLUSH_EVERY lines."""
+    return iter(lambda: sep.join(islice(lines, FLUSH_EVERY)), "")
+
+
+def _write_blocks(out: TextIO, blocks: Iterable[str], head: str = "", sep: str = "", tail: str = "") -> None:
+    """Write ``head``, the blocks joined by ``sep``, then ``tail``: one write
+    and one flush per block."""
     lead = head
-    while block := sep.join(islice(lines, FLUSH_EVERY)):
+    for block in blocks:
         out.write(lead + block)
         out.flush()
         lead = sep
-    if lead != sep:  # no line was written, so neither was the head
+    if lead != sep:  # no block was written, so neither was the head
         tail = head + tail
     if tail:
         out.write(tail)
 
 
-def _write_pairs(out: TextIO, pairs: Iterable[tuple[Poly, Poly]], fmt: str, n: int, total: int) -> None:
+def _pair_format(fmt: str, n: int, total: int) -> tuple[str, str, str, str]:
+    """(head, line, separator, tail) of a pair listing in ``fmt``."""
     if fmt == "json":
-        _write_blocks(out, map('{"f": "%#x", "g": "%#x"}'.__mod__, pairs),
-                      '{"degree": %d, "count": %d, "pairs": [' % (n, total), ", ", "]}\n")
-    elif fmt == "csv":
-        _write_blocks(out, map("%#x,%#x\n".__mod__, pairs), "f,g\n")
-    else:
-        _write_blocks(out, map("%#x %#x\n".__mod__, pairs))
+        return '{"degree": %d, "count": %d, "pairs": [' % (n, total), '{"f": "%#x", "g": "%#x"}', ", ", "]}\n"
+    if fmt == "csv":
+        return "f,g\n", "%#x,%#x\n", "", ""
+    return "", "%#x %#x\n", "", ""
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -153,14 +167,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     total = count_pairs(n)
-    pairs: Iterable[tuple[Poly, Poly]] = pair_tuples(n)
+    chunks = pair_chunks(n)
     if limit is not None:
         total = min(total, limit)
-        pairs = islice(pairs, limit)
+        chunks = _limited(chunks, 2 * limit)
     if args.check:
-        pairs = _checked(pairs, n)
+        chunks = _checked(chunks, n)
+    head, line, sep, tail = _pair_format(args.format, n, total)
+    # One format call per chunk, on the line template repeated for its pairs.
+    blocks = (sep.join([line] * (len(flat) >> 1)) % flat for flat in chunks)
     with _open_out(args.output) as out:
-        _write_pairs(out, pairs, args.format, n, total)
+        _write_blocks(out, blocks, head, sep, tail)
     return 0
 
 
@@ -179,8 +196,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     n = args.degree
     pairs = sorted(oracle_pairs(n))
+    head, line, sep, tail = _pair_format(args.format, n, len(pairs))
     with _open_out(args.output) as out:
-        _write_pairs(out, pairs, args.format, n, len(pairs))
+        _write_blocks(out, _line_blocks(map(line.__mod__, pairs), sep), head, sep, tail)
     return 0
 
 
@@ -229,7 +247,7 @@ def _cmd_words(args: argparse.Namespace) -> int:
         print(count_words(k))
         return 0
     with _open_out(args.output) as out:
-        _write_blocks(out, map("%s\n".__mod__, words_of_length(k)))
+        _write_blocks(out, _line_blocks(map("%s\n".__mod__, words_of_length(k))))
     return 0
 
 
@@ -238,7 +256,7 @@ def _cmd_compositions(args: argparse.Namespace) -> int:
         print(count_compositions(args.n, args.k))
         return 0
     with _open_out(args.output) as out:
-        _write_blocks(out, (",".join(map(str, parts)) + "\n" for parts in compositions(args.n, args.k)))
+        _write_blocks(out, _line_blocks(",".join(map(str, parts)) + "\n" for parts in compositions(args.n, args.k)))
     return 0
 
 

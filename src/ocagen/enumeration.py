@@ -14,25 +14,29 @@ compositions, intermediate strings and constant words each in
 lexicographic order.  It is built in chunks of at most CHUNK_PAIRS pairs,
 so its memory is bounded at any degree.
 
-One vectorised core generates every pair.  Within a composition the pairs
-are a plain product of the intermediate strings and the valid words, taken
-in that order, so a record's generating triple is fixed by its position in
-the stream: provenance is read off the core's output, never replayed.
+One lane-packed core generates every pair: it runs dilcuE once per chunk,
+for all of the chunk's candidates at once, as lanes of one int.  Within a
+composition the pairs are a plain product of the intermediate strings and
+the valid words, taken in that order, so a record's generating triple is
+fixed by its position in the stream: provenance is read off the core's
+output, never replayed.
 
-``enumerate_pairs`` is the full stream and ``pair_tuples`` the same stream
-as plain (f, g) tuples; ``pairs_for_composition`` is the independently
-consumable partition for one quotient degree sequence.  A
-brute-force ``oracle_pairs`` (direct gcd filtering) and the two exact
-counting forms are provided for verification.
+``enumerate_pairs`` is the full stream, ``pair_chunks`` the same stream
+one chunk at a time, as flat (f0, g0, f1, g1, ..) tuples, and
+``pair_tuples`` a view of it as (f, g) tuples; ``pairs_for_composition``
+is the independently consumable partition for one quotient degree
+sequence.  A brute-force ``oracle_pairs`` (direct gcd filtering) and the
+two exact counting forms are provided for verification.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
-from itertools import accumulate, chain, product, repeat
+from itertools import chain, product, repeat
 from math import comb
-from operator import lshift, xor
-from typing import Iterable, Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .compositions import Composition, compositions
 from .const_lang import Levels, count_words, is_valid_word, spell, word_blocks
@@ -145,12 +149,17 @@ def enumerate_pairs(n: int, with_provenance: bool = False) -> Iterator[PairRecor
     return chain.from_iterable(pairs_for_composition(parts, with_provenance) for parts in _compositions(n))
 
 
+def pair_chunks(n: int) -> Iterator[tuple[Poly, ...]]:
+    """The pairs of ``enumerate_pairs(n)``, in the same order, one chunk at a
+    time, each chunk one flat tuple (f0, g0, f1, g1, ..) of at most
+    2·CHUNK_PAIRS polynomials, without building records: the form the CLI
+    writes."""
+    return (_pairs(parts, *chunk) for parts in _compositions(n) for chunk in _chunks(parts))
+
+
 def pair_tuples(n: int) -> Iterator[tuple[Poly, Poly]]:
-    """The pairs of ``enumerate_pairs(n)`` as plain (f, g) tuples, in the same
-    order, without building records: the form the CLI writes."""
-    return chain.from_iterable(
-        zip(*_slice(parts, *chunk)) for parts in _compositions(n) for chunk in _chunks(parts)
-    )
+    """The pairs of ``enumerate_pairs(n)`` as plain (f, g) tuples, in the same order."""
+    return chain.from_iterable(zip(flat[::2], flat[1::2]) for flat in pair_chunks(n))
 
 
 def _compositions(n: int) -> Iterator[Composition]:
@@ -173,9 +182,9 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
     # counting up from the fixed bits, times its words, the trie's leaves.
     free = sum(parts) - len(parts)
     return chain.from_iterable(
-        map(tuple.__new__, repeat(PairRecord),
-            zip(*_slice(parts, mids, prefix, levels), triples or repeat(None)))
-        for mids, prefix, levels in _chunks(parts)
+        map(tuple.__new__, repeat(PairRecord), zip(pairs, pairs, triples or repeat(None)))
+        for mids, prefix, levels, pick in _chunks(parts)
+        for pairs in [iter(_pairs(parts, mids, prefix, levels, pick))]
         for triples in [with_provenance and product(
             (parts,), map(mids.__add__, _bit_strings(free - len(mids))), spell(prefix, levels))]
     )
@@ -183,91 +192,113 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
 
 # The only pair generator.  dilcuE advances (A, B) -> (q·A + B, A) per
 # quotient from (1, 0), and the forced unit quotient ends it at
-# (f, g) = (A + B, A).  A slice is a product of base tuples (the quotients'
-# degrees and intermediate terms, outermost) and constant-term words.  The
-# core walks the word trie of ``const_lang.word_blocks`` a level at a time
-# and keeps the values of A and B over every (trie node, base tuple), so a
-# level is a few list-wide passes (the continuants are multilinear in the
-# quotients), not a walk per base tuple.  At the leaves, f and g per
-# (word, base tuple) are transposed into stream order by zip.  A slice is
-# cut into chunks of at most CHUNK_PAIRS pairs by fixing leading
-# intermediate bits and, when the words alone are more, a word prefix.
+# (f, g) = (A + B, A).  Each quotient bit enters one step linearly, so a
+# chunk runs dilcuE once for all its candidates, packed side by side as
+# lanes of w bits in one int (broadword, Knuth TAOCP 4A §7.1.3).  A lane's
+# index is its unfixed intermediate bits (stream significance, p_1's X^1
+# highest) above its word-suffix symbols but the last (s_(k-1) lowest), so
+# the lanes are in stream order; a free bit or symbol adds A·X^pos into the
+# lanes whose index has its bit set, through that bit's lane mask.  Every
+# value has degree at most n < w, so no lane carries into the next.  The
+# lanes of valid words are picked out at the end, each giving the pairs of
+# its words ending in 0 and in 1 (see _picker).  A slice is cut into chunks
+# of at most CHUNK_PAIRS pairs by fixing leading intermediate bits and, when
+# the words alone are more, a word prefix; a cap of at least 2 keeps the
+# last symbol out of the prefix.
 
 CHUNK_PAIRS = 1 << 16
 
+# Lane widths a memoryview reads natively (little-endian hosts).
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
-def _chunks(parts: Composition) -> Iterator[tuple[str, str, Levels]]:
-    """(fixed intermediate bits, word prefix, trie levels below it) of each
-    chunk of the slice, in stream order."""
+
+def _chunks(parts: Composition) -> Iterator[tuple[str, str, Levels, Callable]]:
+    """(fixed intermediate bits, word prefix, trie levels below it, picker of
+    the kept lanes) of each chunk of the slice, in stream order."""
     k = len(parts)
     free = sum(parts) - k
     words = count_words(k)
     fixed = free
     while fixed and words << (free - fixed + 1) <= CHUNK_PAIRS:
         fixed -= 1
+    unfixed = free - fixed
     for mids in _bit_strings(fixed):
-        blocks = _whole(k, CHUNK_PAIRS) if words <= CHUNK_PAIRS else word_blocks(k, CHUNK_PAIRS)
-        for prefix, levels in blocks:
-            yield mids, prefix, levels
+        blocks = (_whole if words <= CHUNK_PAIRS else _blocks)(k, unfixed, CHUNK_PAIRS)
+        for prefix, levels, pick in blocks:
+            yield mids, prefix, levels, pick
+
+
+def _blocks(k: int, unfixed: int, cap: int) -> Iterator[tuple[str, Levels, Callable]]:
+    """The word blocks of k, each with its chunk's picker for ``unfixed`` free bits."""
+    for prefix, levels in word_blocks(k, cap):
+        yield prefix, levels, _picker(levels, unfixed)
 
 
 @lru_cache(maxsize=1)
-def _whole(k: int, cap: int) -> list[tuple[str, Levels]]:
+def _whole(k: int, unfixed: int, cap: int) -> list[tuple[str, Levels, Callable]]:
     """The one word block of k, kept while consecutive compositions share k."""
-    return list(word_blocks(k, cap))
+    return list(_blocks(k, unfixed, cap))
 
 
-def _slice(parts: Composition, mids: str, prefix: str, levels: Levels) -> tuple[Iterable[Poly], Iterable[Poly]]:
-    """f and g of one chunk's pairs, in stream order."""
-    trie = [[(0, int(s))] for s in prefix] + levels
-    offsets = accumulate((d - 1 for d in parts), initial=0)
-    steps = zip(parts, trie, [mids[o:o + d - 1] for o, d in zip(offsets, parts)])
-    # While each trie node has one base tuple, A and B are flat lists over
-    # the nodes, and a level gathers its children from one _step of all of
-    # them: per-node lists of length 1 would cost a _step call per node.
-    A, B = [1], [0]
-    for d, level, fixed in steps:
-        PX = _step(A, B, d, fixed)
-        size = len(PX[2]) // len(A)
-        if size > 1:
-            nodes = [(PX[s][i * size:(i + 1) * size], PX[1 - s][i * size:(i + 1) * size],
-                      PX[2][i * size:(i + 1) * size]) for i, s in level]
-            break
-        A = [PX[s][i] for i, s in level]
-        B = [PX[2][i] for i, _ in level]
-    else:
-        return list(map(xor, A, B)), A
-    # Then each node keeps (A, A + B, B) over its own base tuples.
-    for d, level, fixed in steps:
-        rows = [_step(a, b, d, fixed) for a, _, b in nodes]
-        nodes = [(rows[i][s], rows[i][1 - s], rows[i][2]) for i, s in level]
-    return (chain.from_iterable(zip(*[f for _, f, _ in nodes])),
-            chain.from_iterable(zip(*[g for g, _, _ in nodes])))
+def _picker(levels: Levels, unfixed: int) -> Callable[[Sequence[Poly]], tuple[Poly, ...]]:
+    """Picks a chunk's pairs from its lanes, f's lanes followed by g's, as
+    (f0, g0, f1, g1, ..) in stream order: for each setting of the unfixed
+    intermediate bits, the block's words, the leaves of ``levels``.
 
-
-def _step(A: list[Poly], B: list[Poly], d: int, fixed: str) -> tuple[list[Poly], list[Poly], list[Poly]]:
-    """One quotient of degree d applied to every entry of (A, B).
-
-    Returns (P, P + A', A'): P = b·a + b' for each entry (a, b') outermost
-    and each base b innermost, A' = a repeated to match.  A base is X^d plus
-    intermediate terms whose leading X^1.. coefficients are ``fixed`` and
-    whose others run in lexicographic order, X^1 most significant: doubling
-    along them from X^1 up gives that order with no multiply.  The children
-    for constant terms 0 and 1 are (P, A') and (P + A', A').
+    A valid word ends in a free symbol, so the leaves come in twins w0, w1,
+    and the last step of dilcuE gives w1 the pair of w0 swapped.  Only the
+    lanes of w0 are computed; each yields (f, g) and then (g, f).
     """
-    P = list(map(xor, map(lshift, A, repeat(d)), B))
-    for pos, bit in enumerate(fixed, 1):
-        if bit == "1":
-            P = list(map(xor, P, map(lshift, A, repeat(pos))))
-    for pos in range(len(fixed) + 1, d):
-        Q = P * 2
-        Q[::2] = P
-        Q[1::2] = map(xor, P, map(lshift, A, repeat(pos)))
-        P = Q
-        Q = A * 2
-        Q[::2] = Q[1::2] = A
-        A = Q
-    return P, list(map(xor, P, A)), A
+    leaves = [0]
+    for level in levels[:-1]:
+        leaves = [leaves[i] << 1 | s for i, s in level]
+    size = 1 << (unfixed + len(levels) - 1)
+    kept = [hi | s for hi in range(0, size, 1 << (len(levels) - 1)) for s in leaves]
+    flat = kept * 2
+    flat[::2] = kept
+    flat[1::2] = map(size.__add__, kept)
+    first = itemgetter(*flat)
+    twins = itemgetter(*[i for j in range(0, len(flat), 2) for i in (j, j + 1, j + 1, j)])
+    return lambda lanes: twins(first(lanes))
+
+
+@lru_cache(maxsize=1)
+def _lanes(D: int, w: int) -> tuple[int, list[int]]:
+    """(ONES, M) for 2^D lanes of w bits: ONES holds 1 in every lane, M[t]
+    all ones in the lanes whose index has bit t set."""
+    full = (1 << (w << D)) - 1
+    masks = [0] * D
+    for t in reversed(range(D)):
+        full ^= full >> (w << t)
+        masks[t] = full
+    return ((1 << (w << D)) - 1) // ((1 << w) - 1), masks
+
+
+def _pairs(parts: Composition, mids: str, prefix: str, levels: Levels, pick: Callable) -> tuple[Poly, ...]:
+    """One chunk's pairs, in stream order, as one flat tuple (f0, g0, f1, g1, ..)."""
+    n = sum(parts)
+    w = next((w for w in _LANE_FORMATS if w > n), n // 8 * 8 + 8)
+    L = len(levels) - 1  # symbols with a lane: the last one is 0 (see _picker)
+    D = n - len(parts) - len(mids) + L
+    ones, masks = _lanes(D, w)
+    # The lanes of each term: a fixed 1 is in every lane (-1), a fixed 0 in none.
+    terms = iter([-1 if b == "1" else 0 for b in mids] + masks[L:][::-1])
+    consts = [-1 if s == "1" else 0 for s in prefix] + masks[:L][::-1] + [0]
+    A, B = ones, 0
+    for d, c in zip(parts, consts):
+        P = (A << d) ^ B
+        for pos, m in zip(range(1, d), terms):
+            if m:
+                P ^= (A << pos) & m
+        if c:
+            P ^= A & c
+        A, B = P, A
+    # f's lanes, then g's, in one buffer.
+    buf = memoryview(((A ^ B) | A << (w << D)).to_bytes((w << D) >> 2, "little"))
+    if w in _LANE_FORMATS and sys.byteorder == "little":
+        return pick(buf.cast(_LANE_FORMATS[w]))
+    size = w >> 3
+    return tuple([int.from_bytes(buf[i * size:(i + 1) * size], "little") for i in pick(range(len(buf) // size))])
 
 
 def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:

@@ -65,6 +65,9 @@ class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[t
             raise ValueError(f"order must be positive, got {n}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} array")
+        # are_orthogonal's key e1·N + e2 tells pairs apart only over 0..N-1.
+        if not all(map(set(range(n)).issuperset, entries)):
+            raise ValueError(f"entries must lie in 0..{n - 1}")
         return super().__new__(cls, order, entries)
 
     @classmethod

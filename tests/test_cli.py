@@ -4,15 +4,17 @@ import os
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import ocagen
 from ocagen.cli import run
-from ocagen.enumeration import ORACLE_DEGREE_LIMIT, count_pairs
+from ocagen.enumeration import CHUNK_PAIRS, ORACLE_DEGREE_LIMIT, count_pairs, pairs_for_composition
 from ocagen.gf2poly import gcd, parse_poly
 from ocagen.oca import SQUARE_DEGREE_LIMIT
+from test_enumeration import replay_pairs
 
 ABOVE_SQUARE_GUARD = hex((1 << (SQUARE_DEGREE_LIMIT + 1)) | 1)
 
@@ -27,6 +29,9 @@ WRITER_SHA256 = {
         "2ca30bbc219295569970579da928c9e99860b128bfebaa44c34ecc361277ecbe",
     ("enumerate", "--degree", "8", "--limit", "1000", "--check"):
         "f90cded70c149462a3a6bf1d73f38d017d0107055154744bdc6d2868f6f902a9",
+    # the ROADMAP's degree-10 reference hash of the text listing
+    ("enumerate", "--degree", "10"):
+        "4e062eec03ea37c6cc389e023ced22fd9cb7fd9f247665e1e572123d6602fe6f",
     ("oracle", "--degree", "6"):
         "a97f669c81de56147544da28b3c4cfa293c484a89bde365d9dd0bce0f20754f0",
     # 87,382 words: two 2^16-word blocks
@@ -129,6 +134,28 @@ class TestEnumerate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [f"{top | 3:#x} {top | 1:#x}", f"{top | 1:#x} {top | 3:#x}"]
         assert elapsed < 5
+
+    def test_check_fails_inside_a_chunk(self, capsys, monkeypatch):
+        # Each composition of 6 is one chunk; the pair made to fail sits
+        # inside the second, so the first chunk is written and the rest is not.
+        assert run(["enumerate", "--degree", "6"]) == 0
+        unchecked = capsys.readouterr().out
+        first = len(list(pairs_for_composition((1, 5))))
+        bad = next(islice(pairs_for_composition((2, 4)), 3, None))
+        monkeypatch.setattr("ocagen.cli.gcd", lambda f, g: 2 if (f, g) == bad[:2] else gcd(f, g))
+        assert run(["enumerate", "--degree", "6", "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: check failed: gcd({bad.f:#x}, {bad.g:#x}) != 1\n"
+        assert unchecked.startswith(captured.out)
+        assert captured.out.count("\n") == first
+        assert f"{bad.f:#x} {bad.g:#x}\n" not in captured.out
+
+    def test_checked_limit_crosses_a_chunk(self, capsys):
+        # (1, 19) leads the degree-20 stream and is 8 chunks at the real cap.
+        assert 65536 == CHUNK_PAIRS < 70000
+        assert run(["enumerate", "--degree", "20", "--limit", "70000", "--check"]) == 0
+        expected = "".join("%#x %#x\n" % rec[:2] for rec in islice(replay_pairs((1, 19)), 70000))
+        assert capsys.readouterr().out == expected
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "pairs.csv"

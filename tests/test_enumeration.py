@@ -1,4 +1,6 @@
 import hashlib
+import random
+from itertools import islice
 
 import pytest
 
@@ -136,12 +138,25 @@ class TestEnumerate:
             for parts in compositions(n, k):
                 assert list(pairs_for_composition(parts, True)) == list(replay_pairs(parts))
                 for chunk in enumeration._chunks(parts):
-                    F, G = map(list, enumeration._slice(parts, *chunk))
-                    assert 0 < len(F) == len(G) <= cap
+                    assert 0 < len(enumeration._pairs(parts, *chunk)) <= 2 * cap
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_pair_tuples_match_records(self, n):
         assert list(pair_tuples(n)) == [(r.f, r.g) for r in enumerate_pairs(n)]
+
+    @pytest.mark.parametrize("n", [20, 40, 64, 100])
+    def test_lane_widths_beyond_exhaustive_reach(self, n):
+        # 32- and 64-bit lanes (n = 20, 40) and the generic wider lanes
+        # (n = 64, 100), at the real cap: the first records of seeded
+        # compositions against their replay, and the first chunk's size.
+        rng = random.Random(n)
+        for k in (2, rng.randrange(3, n), n):
+            cuts = sorted(rng.sample(range(1, n), k - 1))
+            parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+            head = list(islice(pairs_for_composition(parts, True), 2000))
+            assert head == list(islice(replay_pairs(parts), 2000))
+            first = next(enumeration._chunks(parts))
+            assert 0 < len(enumeration._pairs(parts, *first)) <= 2 * enumeration.CHUNK_PAIRS
 
     @pytest.mark.parametrize("with_provenance", [False, True])
     def test_degree_10_order_pinned(self, with_provenance):

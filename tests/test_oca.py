@@ -246,6 +246,18 @@ class TestChecks:
         with pytest.raises(ValueError):
             LatinSquare(0, ())
 
+    def test_entries_in_range(self):
+        # Out-of-range entries would make are_orthogonal's key collide-free
+        # where the squares are not orthogonal: ((0, 0), (0, 0)) against
+        # ((0, 1), (2, 3)) read as orthogonal.
+        with pytest.raises(ValueError):
+            LatinSquare(2, ((0, 1), (2, 3)))
+        with pytest.raises(ValueError):
+            LatinSquare(2, ((0, -1), (1, 0)))
+        with pytest.raises(ValueError):
+            LatinSquare(2, ((0, 1), (1, 0)))._replace(entries=((0, 1), (2, 3)))
+        assert LatinSquare(2, ((0, 0), (0, 0))).entries == ((0, 0), (0, 0))
+
     def test_orthogonality_examples(self):
         sq90, sq150 = latin_square(RULE_90), latin_square(RULE_150)
         assert are_orthogonal(sq90, sq150)
