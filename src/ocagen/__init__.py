@@ -7,12 +7,11 @@ the CA layer materializes the corresponding pair of orthogonal Latin
 squares.
 """
 
-from .compositions import Composition, compositions, count_compositions
+from .compositions import compositions, count_compositions
 from .const_lang import (
     ACCEPT,
     START,
     STATES,
-    CtState,
     count_words,
     delta,
     inverse_delta,
@@ -30,7 +29,7 @@ from .enumeration import (
     oracle_pairs,
     pairs_for_composition,
 )
-from .euclid import EuclidTrace, bijection_flip, dilcue, euclid_trace
+from .euclid import bijection_flip, dilcue, euclid_trace
 from .gf2poly import (
     DEGREE_OF_ZERO,
     Poly,
@@ -58,10 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACCEPT",
-    "Composition",
-    "CtState",
     "DEGREE_OF_ZERO",
-    "EuclidTrace",
     "LatinSquare",
     "LocalRule",
     "ORACLE_DEGREE_LIMIT",

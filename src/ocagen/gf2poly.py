@@ -126,7 +126,8 @@ def _parse_term(term: str, at: int, s: str) -> Union[Poly, None]:
         return 1
     if term in ("x", "X"):
         return 2
-    if term[:2] in ("x^", "X^") and term[2:].isdigit():
+    # isdigit alone admits "²" (int() rejects it) and "٣" (int() reads 3).
+    if term[:2] in ("x^", "X^") and term[2:].isascii() and term[2:].isdigit():
         return 1 << int(term[2:])
     raise ValueError(f"malformed term {term!r} at position {at} in {s!r}")
 

@@ -14,11 +14,15 @@ middle d-1 coefficients of x·p: the global map is multiplication by p.
 Indexed by row i and column j, it forms a Latin square of order 2^(d-1).
 
 Two linear rules yield orthogonal Latin squares exactly when their
-polynomials are coprime.
+polynomials are coprime.  are_orthogonal checks this by the definition,
+never by gcd: with byte translation tables in C when the order is at most
+256 and every row of the first square is a permutation (as in every
+square latin_square builds), else with the set of superposed cells.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .gf2poly import Poly, constant_term, degree, mul
@@ -65,7 +69,8 @@ class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[t
             raise ValueError(f"order must be positive, got {n}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} array")
-        # are_orthogonal's key e1·N + e2 tells pairs apart only over 0..N-1.
+        # are_orthogonal's key e1·N + e2 tells pairs apart only over 0..N-1,
+        # and rows of order <= 256 then fit in bytes for its table path.
         if not all(map(set(range(n)).issuperset, entries)):
             raise ValueError(f"entries must lie in 0..{n - 1}")
         return super().__new__(cls, order, entries)
@@ -129,10 +134,27 @@ def is_latin(square: LatinSquare) -> bool:
 
 
 def are_orthogonal(first: LatinSquare, second: LatinSquare) -> bool:
-    """Whether superposing the two squares yields all N^2 ordered pairs."""
+    """Whether superposing the two squares yields all N^2 ordered pairs.
+
+    For N <= 256 with every row of ``first`` a permutation of 0..N-1, row
+    i of ``first`` holds symbol a in exactly one cell, so
+    ``bytes.maketrans(row1, row2)`` is a table T_i with T_i[a] the entry of
+    ``second`` there.  The pair (a, b) occurs iff some T_i[a] = b, so the
+    squares are orthogonal iff for each a the N bytes T_i[a] cover 0..N-1,
+    i.e. deleting them from it with ``translate`` leaves nothing.  The
+    same test tells whether a row of ``first`` is a permutation.  Other
+    squares, which can still be orthogonal (permute the cells of an
+    orthogonal pair), go through the set of superposed cells.
+    """
     n = first.order
     if second.order != n:
         raise ValueError(f"orders differ: {n} vs {second.order}")
+    if n <= 256:
+        symbols = bytes(range(n))
+        rows = list(map(bytes, first.entries))
+        if not any(map(symbols.translate, repeat(None), rows)):
+            tables = b"".join(map(bytes.maketrans, rows, map(bytes, second.entries)))
+            return not any(map(symbols.translate, repeat(None), [tables[a::256] for a in range(n)]))
     seen = set()
     add = seen.add
     for row1, row2 in zip(first.entries, second.entries):

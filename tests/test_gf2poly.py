@@ -37,6 +37,7 @@ class TestParse:
         assert parse_poly("x") == 2
         assert parse_poly(" x^2 + 1 ") == 5
         assert parse_poly("X^2+X") == 6
+        assert parse_poly("x^03") == 8
 
     @pytest.mark.parametrize("bad", ["", "0x", "0xZZ", "x^", "x^2+?", "2x", "x**3"])
     def test_malformed(self, bad):
@@ -48,6 +49,13 @@ class TestParse:
             parse_poly("0x5G")
         with pytest.raises(ValueError, match="position 4"):
             parse_poly("x^2+y")
+        # str.isdigit admits both exponents; int() refuses "²" and reads "٣" as 3.
+        with pytest.raises(ValueError, match="malformed term 'x\\^²' at position 0"):
+            parse_poly("x^²")
+        with pytest.raises(ValueError, match="malformed term 'x\\^٣' at position 0"):
+            parse_poly("x^٣+1")
+        with pytest.raises(ValueError, match="malformed term 'x\\^٣' at position 2"):
+            parse_poly("1+x^٣")
 
     def test_repeated_term_rejected(self):
         with pytest.raises(ValueError, match="repeated"):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -81,6 +82,65 @@ def flips_with_outermost_cells(rule):
 def random_unit_poly(rng, n):
     """A uniformly random polynomial of degree n >= 1 with constant term 1."""
     return (1 << n) | (rng.getrandbits(n - 1) << 1) | 1
+
+
+# Reference: orthogonality by its definition, for any two N x N arrays.
+
+def reference_orthogonal(a, b):
+    """Whether superposing the squares gives N^2 distinct pairs (e1, e2)."""
+    cells = {(e1, e2) for r1, r2 in zip(a.entries, b.entries) for e1, e2 in zip(r1, r2)}
+    return len(cells) == a.order ** 2
+
+
+def cyclic_square(n, s):
+    """Entry (i, j) = s·i + j mod n; Latin iff s is a unit mod n."""
+    return LatinSquare(n, tuple(tuple((s * i + j) % n for j in range(n)) for i in range(n)))
+
+
+def stripes(n):
+    """An orthogonal pair whose first square is not Latin: rows all i, then rows 0..N-1."""
+    return (LatinSquare(n, tuple((i,) * n for i in range(n))),
+            LatinSquare(n, (tuple(range(n)),) * n))
+
+
+def scrambled(pair, rng, duplicate=False):
+    """Move the cells of both squares by one random permutation.
+
+    That keeps orthogonality and usually breaks Latinity; ``duplicate``
+    then copies one cell's pair over another's, which breaks orthogonality.
+    """
+    a, b = pair
+    n = a.order
+    cells = [cell for r1, r2 in zip(a.entries, b.entries) for cell in zip(r1, r2)]
+    rng.shuffle(cells)
+    if duplicate:
+        src, dst = rng.sample(range(n * n), 2)
+        cells[dst] = cells[src]
+    rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+    return tuple(LatinSquare(n, tuple(tuple(cell[k] for cell in row) for row in rows))
+                 for k in (0, 1))
+
+
+def orthogonality_cases(n, rng):
+    """Latin pairs, Latin against random, and scrambled orthogonal pairs of order n."""
+    units = [s for s in range(1, n + 1) if math.gcd(s, n) == 1][:3]
+    pairs = [(cyclic_square(n, s), cyclic_square(n, t)) for s in units for t in units]
+    if n > 1 and n & (n - 1) == 0:
+        d = n.bit_length() - 1
+        polys = [random_unit_poly(rng, d) for _ in range(2)] + [(1 << d) | 1]
+        squares = [latin_square(rule_from_poly(p)) for p in polys]
+        pairs += [(sq_f, sq_g) for sq_f in squares for sq_g in squares]
+    latin = pairs[-1][0]
+    noise = LatinSquare(n, tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
+    shuffled = list(pairs[-1][1].entries)
+    rng.shuffle(shuffled)
+    pairs += [(latin, noise), (latin, LatinSquare(n, tuple(shuffled))), stripes(n)]
+    orthogonal = [pair for pair in pairs if reference_orthogonal(*pair)]
+    for pair in orthogonal[:2] + orthogonal[-1:]:
+        pairs.append(scrambled(pair, rng))
+        if n > 1:
+            pairs.append(scrambled(pair, rng, duplicate=True))
+    return pairs
 
 
 class TestLocalRule:
@@ -265,6 +325,36 @@ class TestChecks:
         shared_factor = (latin_square(rule_from_poly(0x9)),
                          latin_square(rule_from_poly(0xF)))
         assert not are_orthogonal(*shared_factor)
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 256, 257])
+    def test_orthogonal_matches_reference(self, n):
+        # Orders 256 and 257 sit either side of the byte-table cut; scrambled
+        # pairs have rows that are not permutations, so they take the set path.
+        rng = random.Random(1000 + n)
+        cases = orthogonality_cases(n, rng)
+        outcomes = set()
+        for a, b in cases:
+            expected = reference_orthogonal(a, b)
+            assert are_orthogonal(a, b) == are_orthogonal(b, a) == expected
+            outcomes.add(expected)
+        assert outcomes == ({True} if n == 1 else {True, False})
+        assert n == 1 or not all(map(is_latin, (sq for pair in cases for sq in pair)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 256, 257])
+    def test_non_latin_orthogonal_pair(self, n):
+        rows_constant, rows_identity = stripes(n)
+        assert are_orthogonal(rows_constant, rows_identity)
+        assert are_orthogonal(rows_identity, rows_constant)
+        assert are_orthogonal(rows_constant, rows_constant) == (n == 1)
+
+    def test_order_512_pairs(self):
+        # Diameter 10 (degree 9) gives order 512, above the byte cut.
+        h = 0x7
+        for f, g, coprime in ((0x211, 0x203, True), (mul(h, 0x83), mul(h, 0x89), False)):
+            assert (gcd(f, g) == 1) == coprime
+            sq_f, sq_g = latin_square(rule_from_poly(f)), latin_square(rule_from_poly(g))
+            assert sq_f.order == 512
+            assert are_orthogonal(sq_f, sq_g) == coprime
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
