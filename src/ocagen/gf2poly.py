@@ -20,6 +20,8 @@ DEGREE_OF_ZERO = float("-inf")
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
+_NEGATIVE = "negative value is not a GF(2) polynomial"
+
 
 def degree(p: Poly) -> Union[int, float]:
     """Degree of p: index of the highest set bit, DEGREE_OF_ZERO for p = 0."""
@@ -42,6 +44,8 @@ def mul(a: Poly, b: Poly) -> Poly:
     products for whole lists at once, one shifted XOR per quotient bit."""
     if a < b:
         a, b = b, a
+    if b < 0:
+        raise ValueError(_NEGATIVE)
     c = 0
     while b:
         lsb = b & -b
@@ -53,9 +57,12 @@ def mul(a: Poly, b: Poly) -> Poly:
 def divmod_(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a divided by b, with degree(r) < degree(b).
 
-    The package's one division, called by ``gcd`` and ``euclid_trace``.
-    Raises ZeroDivisionError for b = 0.
+    The package's quotient-keeping division, called by ``euclid_trace``;
+    ``gcd`` writes the remainder-only division inline.  Raises
+    ZeroDivisionError for b = 0.
     """
+    if (a | b) < 0:
+        raise ValueError(_NEGATIVE)
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
     n = b.bit_length()
@@ -69,12 +76,17 @@ def divmod_(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 def gcd(a: Poly, b: Poly) -> Poly:
     """Greatest common divisor of a and b (monic, unique over GF(2)).
 
-    gcd(a, 0) = a.  Raises ValueError when both arguments are zero.
+    gcd(a, 0) = a.  Raises ValueError when both arguments are zero or
+    either is negative.  Each step reduces a by shifted copies of b to the
+    remainder, then swaps.
     """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
+    if (a | b) <= 0:
+        raise ValueError(_NEGATIVE if a < 0 or b < 0 else "gcd(0, 0) is undefined")
     while b:
-        a, b = b, divmod_(a, b)[1]
+        n = b.bit_length()
+        while (shift := a.bit_length() - n) >= 0:
+            a ^= b << shift
+        a, b = b, a
     return a
 
 
@@ -135,7 +147,7 @@ def _parse_term(term: str, at: int, s: str) -> Union[Poly, None]:
 def format_poly(p: Poly, style: str = "hex") -> str:
     """Render p as "0x…" (style="hex") or as a sum of powers (style="symbolic")."""
     if p < 0:
-        raise ValueError("negative value is not a GF(2) polynomial")
+        raise ValueError(_NEGATIVE)
     if style == "hex":
         return format(p, "#x")
     if style == "symbolic":

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ocagen.enumeration import pair_tuples
 from ocagen.euclid import euclid_trace
 from ocagen.gf2poly import (
     DEGREE_OF_ZERO,
@@ -20,6 +21,16 @@ from ocagen.gf2poly import (
 
 polys = st.integers(min_value=0, max_value=(1 << 65) - 1)
 wide_polys = st.integers(min_value=0, max_value=(1 << 513) - 1)
+
+
+def reference_gcd(a, b):
+    """Euclid with one ``divmod_`` call per remainder, the reference that
+    ``gcd`` and its inline division are compared against."""
+    if a == 0 and b == 0:
+        raise ValueError("gcd(0, 0) is undefined")
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    return a
 
 
 class TestParse:
@@ -140,8 +151,42 @@ class TestArithmetic:
             assert mul(q, b) ^ r == a
             assert degree(r) < degree(b)
             g = gcd(a, b)
+            assert g == gcd(b, a) == reference_gcd(a, b)
             assert gcd(mul(h, a), mul(h, b)) == mul(h, g)
             assert g == euclid_trace(a, b).gcd
+
+    # Without a sign check each of these calls loops forever instead of failing.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mul(-3, 5),
+            lambda: mul(5, -3),
+            lambda: divmod_(-1, 1),
+            lambda: divmod_(5, -3),
+            lambda: divmod_(-1, 0),
+            lambda: gcd(-1, 3),
+            lambda: gcd(5, -3),
+            lambda: gcd(-1, 0),
+            lambda: gcd(0, -1),
+        ],
+    )
+    def test_negative_rejected(self, call):
+        with pytest.raises(ValueError, match="negative value is not a GF\\(2\\) polynomial"):
+            call()
+
+    def test_gcd_matches_reference_exhaustive(self):
+        for a in range(1 << 8):
+            for b in range(1 << 8):
+                if a or b:
+                    assert gcd(a, b) == reference_gcd(a, b), (a, b)
+
+    def test_gcd_recovers_common_factor(self):
+        rng = random.Random(6)
+        for f, g in pair_tuples(6):
+            d = rng.randint(0, 64)
+            h = (1 << d) | rng.getrandbits(d)
+            hf, hg = mul(h, f), mul(h, g)
+            assert gcd(hf, hg) == gcd(hg, hf) == reference_gcd(hf, hg) == h
 
     @given(polys, polys.filter(bool))
     def test_divmod_identity(self, a, b):
