@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, TextIO
 
 from .compositions import compositions, count_compositions
@@ -133,9 +133,10 @@ def _limited(chunks: Iterator[tuple[Poly, ...]], size: int) -> Iterator[tuple[Po
         size -= len(flat)
 
 
-def _line_blocks(lines: Iterator[str], sep: str = "") -> Iterator[str]:
-    """The lines joined by ``sep`` in blocks of at most FLUSH_EVERY lines."""
-    return iter(lambda: sep.join(islice(lines, FLUSH_EVERY)), "")
+def _write_lines(path: str, lines: Iterator[str]) -> None:
+    """Write the lines in blocks of at most FLUSH_EVERY lines."""
+    with _open_out(path) as out:
+        _write_blocks(out, iter(lambda: "".join(islice(lines, FLUSH_EVERY)), ""))
 
 
 def _write_blocks(out: TextIO, blocks: Iterable[str], head: str = "", sep: str = "", tail: str = "") -> None:
@@ -152,13 +153,17 @@ def _write_blocks(out: TextIO, blocks: Iterable[str], head: str = "", sep: str =
         out.write(tail)
 
 
-def _pair_format(fmt: str, n: int, total: int) -> tuple[str, str, str, str]:
-    """(head, line, separator, tail) of a pair listing in ``fmt``."""
-    if fmt == "json":
-        return '{"degree": %d, "count": %d, "pairs": [' % (n, total), '{"f": "%#x", "g": "%#x"}', ", ", "]}\n"
-    if fmt == "csv":
-        return "f,g\n", "%#x,%#x\n", "", ""
-    return "", "%#x %#x\n", "", ""
+def _write_pairs(path: str, chunks: Iterable[tuple[Poly, ...]], fmt: str, n: int, total: int) -> None:
+    """Write the pairs of ``chunks``, flat (f0, g0, f1, g1, ..) tuples, as a
+    listing in ``fmt``: one format call per chunk, on the line template
+    repeated for its pairs."""
+    head, line, sep, tail = {
+        "text": ("", "%#x %#x\n", "", ""),
+        "csv": ("f,g\n", "%#x,%#x\n", "", ""),
+        "json": ('{"degree": %d, "count": %d, "pairs": [' % (n, total), '{"f": "%#x", "g": "%#x"}', ", ", "]}\n"),
+    }[fmt]
+    with _open_out(path) as out:
+        _write_blocks(out, (sep.join([line] * (len(flat) >> 1)) % flat for flat in chunks), head, sep, tail)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -173,11 +178,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         chunks = _limited(chunks, 2 * limit)
     if args.check:
         chunks = _checked(chunks, n)
-    head, line, sep, tail = _pair_format(args.format, n, total)
-    # One format call per chunk, on the line template repeated for its pairs.
-    blocks = (sep.join([line] * (len(flat) >> 1)) % flat for flat in chunks)
-    with _open_out(args.output) as out:
-        _write_blocks(out, blocks, head, sep, tail)
+    _write_pairs(args.output, chunks, args.format, n, total)
     return 0
 
 
@@ -196,9 +197,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     n = args.degree
     pairs = sorted(oracle_pairs(n))
-    head, line, sep, tail = _pair_format(args.format, n, len(pairs))
-    with _open_out(args.output) as out:
-        _write_blocks(out, _line_blocks(map(line.__mod__, pairs), sep), head, sep, tail)
+    chunks = (tuple(chain.from_iterable(pairs[i:i + FLUSH_EVERY])) for i in range(0, len(pairs), FLUSH_EVERY))
+    _write_pairs(args.output, chunks, args.format, n, len(pairs))
     return 0
 
 
@@ -246,8 +246,7 @@ def _cmd_words(args: argparse.Namespace) -> int:
     if args.count_only:
         print(count_words(k))
         return 0
-    with _open_out(args.output) as out:
-        _write_blocks(out, _line_blocks(map("%s\n".__mod__, words_of_length(k))))
+    _write_lines(args.output, map("%s\n".__mod__, words_of_length(k)))
     return 0
 
 
@@ -255,8 +254,7 @@ def _cmd_compositions(args: argparse.Namespace) -> int:
     if args.count_only:
         print(count_compositions(args.n, args.k))
         return 0
-    with _open_out(args.output) as out:
-        _write_blocks(out, _line_blocks(",".join(map(str, parts)) + "\n" for parts in compositions(args.n, args.k)))
+    _write_lines(args.output, (",".join(map(str, parts)) + "\n" for parts in compositions(args.n, args.k)))
     return 0
 
 

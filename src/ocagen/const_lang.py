@@ -21,7 +21,7 @@ and the number of valid words of length k is (2^k + 2*(-1)^k) / 3.
 
 from __future__ import annotations
 
-from itertools import chain, starmap
+from itertools import chain
 from typing import Iterator
 
 CtState = tuple[int, int]
@@ -94,24 +94,33 @@ def reach_counts(k: int) -> list[tuple[int, ...]]:
     return counts
 
 
-# The package's one automaton walk.  A block's trie is built a level at a
-# time: levels[j] lists, for each node one symbol deeper, its (parent index,
-# symbol), in lexicographic order, and keeps only nodes that can still reach
-# ACCEPT in the symbols left.  ``words_of_length`` spells the leaves out, and
-# the enumeration core replays dilcuE along the same levels, so both share
-# transitions, pruning and order.
-Levels = list[list[tuple[int, int]]]
+# The package's one automaton walk.  The completions of length r + 1 from
+# a state are each symbol followed by the completions of length r from the
+# state it reads to, so with the first symbol highest they come out in
+# ascending (lexicographic) order.  A block of ``word_blocks`` is a prefix
+# and the state it reads to: ``spell`` writes out its words, and the
+# enumeration core picks its lanes, from that state's completions.
 
 
-def word_blocks(k: int, cap: int) -> Iterator[tuple[str, Levels]]:
+def completions(state: int, length: int) -> list[int]:
+    """The strings of ``length`` symbols that read STATES[state] back to
+    ACCEPT, as ascending ints (first symbol highest).  For length >= 1 the
+    last symbol is free, so they come in twins w, w | 1 at even indices."""
+    tails = [[0] if st == ACCEPT else [] for st in STATES]
+    for left in range(length):
+        tails = [[s << left | w for s, nxt in enumerate(on) for w in tails[nxt]] for on in INV]
+    return tails[state]
+
+
+def word_blocks(k: int, cap: int) -> Iterator[tuple[str, int]]:
     """The valid words of length k, in lexicographic order, as blocks of at
     most ``cap`` words (cap >= 1).
 
-    A block is (prefix, levels): the words that start with ``prefix``, as the
-    trie below it (see ``Levels`` above); its last level's nodes are the
-    block's words.  The prefix length is the least that keeps every block
-    within ``cap``, so the blocks are all the words at once when there are
-    at most ``cap`` of them.  Nothing is emitted when no word has length k.
+    A block is (prefix, state): the words that start with ``prefix``, which
+    the inverse automaton reads from START to STATES[state]; ``spell`` lists
+    them.  The prefix length is the least that keeps every block within
+    ``cap``, so the blocks are all the words at once when there are at most
+    ``cap`` of them.  Nothing is emitted when no word has length k.
     """
     counts = reach_counts(k)
     p, states = 0, {START_INDEX}
@@ -119,35 +128,22 @@ def word_blocks(k: int, cap: int) -> Iterator[tuple[str, Levels]]:
         p += 1
         states = {INV[i][s] for i in states for s in (0, 1)}
 
-    def walk(state: int, prefix: str) -> Iterator[tuple[str, Levels]]:
+    def walk(state: int, prefix: str) -> Iterator[tuple[str, int]]:
         if len(prefix) == p:
-            yield prefix, _levels(state, k - p, counts)
-            return
-        for s in (0, 1):
-            nxt = INV[state][s]
-            if counts[k - len(prefix) - 1][nxt]:
-                yield from walk(nxt, prefix + "01"[s])
+            yield prefix, state
+        else:
+            for s, nxt in enumerate(INV[state]):
+                if counts[k - len(prefix) - 1][nxt]:
+                    yield from walk(nxt, prefix + "01"[s])
 
     if counts[k][START_INDEX]:
         yield from walk(START_INDEX, "")
 
 
-def _levels(state: int, depth: int, counts: list[tuple[int, ...]]) -> Levels:
-    levels = []
-    states = [state]
-    for left in range(depth - 1, -1, -1):
-        level = [(i, s) for i, st in enumerate(states) for s in (0, 1) if counts[left][INV[st][s]]]
-        states = [INV[states[i]][s] for i, s in level]
-        levels.append(level)
-    return levels
-
-
-def spell(prefix: str, levels: Levels) -> list[str]:
-    """The words of one block of ``word_blocks``, in order."""
-    words = [prefix]
-    for level in levels:
-        words = [words[i] + "01"[s] for i, s in level]
-    return words
+def spell(k: int, prefix: str, state: int) -> list[str]:
+    """The words of length k of one block of ``word_blocks``, in order."""
+    top = 1 << (k - len(prefix))
+    return [prefix + bin(top | w)[3:] for w in completions(state, k - len(prefix))]
 
 
 # Words per block of ``words_of_length``; it bounds that listing's memory.
@@ -162,4 +158,4 @@ def words_of_length(k: int) -> Iterator[str]:
     """
     if k < 0:
         raise ValueError("word length must be nonnegative")
-    return chain.from_iterable(starmap(spell, word_blocks(k, BLOCK_WORDS)))
+    return chain.from_iterable(spell(k, *block) for block in word_blocks(k, BLOCK_WORDS))

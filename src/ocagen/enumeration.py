@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .compositions import Composition, compositions
-from .const_lang import Levels, count_words, is_valid_word, spell, word_blocks
+from .const_lang import completions, count_words, is_valid_word, spell, word_blocks
 from .gf2poly import Poly, gcd, unit_polys
 
 ORACLE_DEGREE_LIMIT = 12
@@ -179,14 +179,14 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
     if len(parts) < 2:
         raise ValueError("quotient degree sequences have at least two parts")
     # Records are built in C.  A chunk's triples are its intermediate strings,
-    # counting up from the fixed bits, times its words, the trie's leaves.
+    # counting up from the fixed bits, times its block's words.
     free = sum(parts) - len(parts)
     return chain.from_iterable(
         map(tuple.__new__, repeat(PairRecord), zip(pairs, pairs, triples or repeat(None)))
-        for mids, prefix, levels, pick in _chunks(parts)
-        for pairs in [iter(_pairs(parts, mids, prefix, levels, pick))]
+        for mids, prefix, state in _chunks(parts)
+        for pairs in [iter(_pairs(parts, mids, prefix, state))]
         for triples in [with_provenance and product(
-            (parts,), map(mids.__add__, _bit_strings(free - len(mids))), spell(prefix, levels))]
+            (parts,), map(mids.__add__, _bit_strings(free - len(mids))), spell(len(parts), prefix, state))]
     )
 
 
@@ -199,12 +199,13 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
 # highest) above its word-suffix symbols but the last (s_(k-1) lowest), so
 # the lanes are in stream order; a free bit or symbol adds A·X^pos into the
 # lanes whose index has its bit set, through that bit's lane mask.  Every
-# value has degree at most n < w, so no lane carries into the next.  The
-# lanes of valid words are picked out at the end, each giving the pairs of
-# its words ending in 0 and in 1 (see _picker).  A slice is cut into chunks
-# of at most CHUNK_PAIRS pairs by fixing leading intermediate bits and, when
-# the words alone are more, a word prefix; a cap of at least 2 keeps the
-# last symbol out of the prefix.
+# value has degree at most n < w, so no lane carries into the next.  A slice
+# is cut into chunks of at most CHUNK_PAIRS pairs by fixing leading
+# intermediate bits and, when the words alone are more, a word prefix: a
+# chunk is those bits and one (prefix, state) block of ``word_blocks``.  The
+# lanes of its valid words, the completions from that state, are picked out
+# at the end, each giving the pairs of its words ending in 0 and in 1 (see
+# _picker); a cap of at least 2 keeps the last symbol out of the prefix.
 
 CHUNK_PAIRS = 1 << 16
 
@@ -212,53 +213,36 @@ CHUNK_PAIRS = 1 << 16
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _chunks(parts: Composition) -> Iterator[tuple[str, str, Levels, Callable]]:
-    """(fixed intermediate bits, word prefix, trie levels below it, picker of
-    the kept lanes) of each chunk of the slice, in stream order."""
+def _chunks(parts: Composition) -> Iterator[tuple[str, str, int]]:
+    """(fixed intermediate bits, word prefix, automaton state after it) of
+    each chunk of the slice, in stream order."""
     k = len(parts)
     free = sum(parts) - k
     words = count_words(k)
     fixed = free
     while fixed and words << (free - fixed + 1) <= CHUNK_PAIRS:
         fixed -= 1
-    unfixed = free - fixed
-    for mids in _bit_strings(fixed):
-        blocks = (_whole if words <= CHUNK_PAIRS else _blocks)(k, unfixed, CHUNK_PAIRS)
-        for prefix, levels, pick in blocks:
-            yield mids, prefix, levels, pick
+    return ((mids, *block) for mids in _bit_strings(fixed) for block in word_blocks(k, CHUNK_PAIRS))
 
 
-def _blocks(k: int, unfixed: int, cap: int) -> Iterator[tuple[str, Levels, Callable]]:
-    """The word blocks of k, each with its chunk's picker for ``unfixed`` free bits."""
-    for prefix, levels in word_blocks(k, cap):
-        yield prefix, levels, _picker(levels, unfixed)
-
-
-@lru_cache(maxsize=1)
-def _whole(k: int, unfixed: int, cap: int) -> list[tuple[str, Levels, Callable]]:
-    """The one word block of k, kept while consecutive compositions share k."""
-    return list(_blocks(k, unfixed, cap))
-
-
-def _picker(levels: Levels, unfixed: int) -> Callable[[Sequence[Poly]], tuple[Poly, ...]]:
+@lru_cache(maxsize=3)
+def _picker(state: int, depth: int, unfixed: int) -> Callable[[Sequence[Poly]], tuple[Poly, ...]]:
     """Picks a chunk's pairs from its lanes, f's lanes followed by g's, as
     (f0, g0, f1, g1, ..) in stream order: for each setting of the unfixed
-    intermediate bits, the block's words, the leaves of ``levels``.
+    intermediate bits, the block's words, whose suffixes are the completions
+    of length ``depth`` from ``state``.  All chunks of one k in a degree's
+    stream share ``depth`` and ``unfixed``, so they need at most one picker
+    per automaton state.
 
-    A valid word ends in a free symbol, so the leaves come in twins w0, w1,
-    and the last step of dilcuE gives w1 the pair of w0 swapped.  Only the
+    A completion ends in a free symbol, so they come in twins w0, w1, and
+    the last step of dilcuE gives w1 the pair of w0 swapped.  Only the
     lanes of w0 are computed; each yields (f, g) and then (g, f).
     """
-    leaves = [0]
-    for level in levels[:-1]:
-        leaves = [leaves[i] << 1 | s for i, s in level]
-    size = 1 << (unfixed + len(levels) - 1)
-    kept = [hi | s for hi in range(0, size, 1 << (len(levels) - 1)) for s in leaves]
-    flat = kept * 2
-    flat[::2] = kept
-    flat[1::2] = map(size.__add__, kept)
-    first = itemgetter(*flat)
-    twins = itemgetter(*[i for j in range(0, len(flat), 2) for i in (j, j + 1, j + 1, j)])
+    leaves = [w >> 1 for w in completions(state, depth)[::2]]
+    size = 1 << (unfixed + depth - 1)
+    kept = [hi | s for hi in range(0, size, 1 << (depth - 1)) for s in leaves]
+    first = itemgetter(*[i for s in kept for i in (s, size + s)])
+    twins = itemgetter(*[i for j in range(0, 2 * len(kept), 2) for i in (j, j + 1, j + 1, j)])
     return lambda lanes: twins(first(lanes))
 
 
@@ -274,12 +258,13 @@ def _lanes(D: int, w: int) -> tuple[int, list[int]]:
     return ((1 << (w << D)) - 1) // ((1 << w) - 1), masks
 
 
-def _pairs(parts: Composition, mids: str, prefix: str, levels: Levels, pick: Callable) -> tuple[Poly, ...]:
+def _pairs(parts: Composition, mids: str, prefix: str, state: int) -> tuple[Poly, ...]:
     """One chunk's pairs, in stream order, as one flat tuple (f0, g0, f1, g1, ..)."""
     n = sum(parts)
     w = next((w for w in _LANE_FORMATS if w > n), n // 8 * 8 + 8)
-    L = len(levels) - 1  # symbols with a lane: the last one is 0 (see _picker)
-    D = n - len(parts) - len(mids) + L
+    depth, unfixed = len(parts) - len(prefix), n - len(parts) - len(mids)
+    L = depth - 1  # symbols with a lane: the last one is 0 (see _picker)
+    D = unfixed + L
     ones, masks = _lanes(D, w)
     # The lanes of each term: a fixed 1 is in every lane (-1), a fixed 0 in none.
     terms = iter([-1 if b == "1" else 0 for b in mids] + masks[L:][::-1])
@@ -295,6 +280,7 @@ def _pairs(parts: Composition, mids: str, prefix: str, levels: Levels, pick: Cal
         A, B = P, A
     # f's lanes, then g's, in one buffer.
     buf = memoryview(((A ^ B) | A << (w << D)).to_bytes((w << D) >> 2, "little"))
+    pick = _picker(state, depth, unfixed)
     if w in _LANE_FORMATS and sys.byteorder == "little":
         return pick(buf.cast(_LANE_FORMATS[w]))
     size = w >> 3

@@ -41,6 +41,13 @@ WRITER_SHA256 = {
         "7a909cf4dd70ad12c8e6b08ac4f310167b78904eb159d7aa0eab8b417268adfd",
     ("compositions", "--n", "9", "--k", "4"):
         "64d1daab4915d66dc67ee6a1e82f2d17e24e8b9aca8d53718e1ee4aeeac98e95",
+    # empty listings: '{"degree": 1, "count": 0, "pairs": []}\n' and 'f,g\n'
+    ("enumerate", "--degree", "1", "--format", "json"):
+        "2a01253aa09730f026a27471e351dcc10d02bfb4d92878ad9a762d68d195e96d",
+    ("enumerate", "--degree", "3", "--limit", "0", "--format", "csv"):
+        "6102db8ed55d97bf00cf73ff80c5f7b138b126a91ec359cdf1c1e4665f898ab2",
+    ("oracle", "--degree", "1", "--format", "json"):
+        "2a01253aa09730f026a27471e351dcc10d02bfb4d92878ad9a762d68d195e96d",
 }
 
 

@@ -10,6 +10,7 @@ from ocagen.const_lang import (
     START,
     START_INDEX,
     STATES,
+    completions,
     count_words,
     delta,
     inverse_delta,
@@ -120,10 +121,30 @@ class TestWords:
     def test_blocks_partition_the_words(self, cap):
         for k in range(0, 13):
             blocks = list(word_blocks(k, cap))
-            assert [w for block in blocks for w in spell(*block)] == list(words_of_length(k))
-            assert all(1 <= len(spell(*block)) <= cap for block in blocks)
+            assert [w for block in blocks for w in spell(k, *block)] == list(words_of_length(k))
+            assert all(1 <= len(spell(k, *block)) <= cap for block in blocks)
             if count_words(k) <= cap:
                 assert [prefix for prefix, _ in blocks] == ([""] if count_words(k) else [])
+
+    @pytest.mark.parametrize("length", range(0, 13))
+    def test_completions_match_brute_force(self, length):
+        # Every string of the length, as an int with its first symbol
+        # highest, read through inverse_delta from each state.
+        for i, state in enumerate(STATES):
+            expected = []
+            for w, bits in enumerate(product((0, 1), repeat=length)):
+                s = state
+                for b in bits:
+                    s = inverse_delta(s, b)
+                if s == ACCEPT:
+                    expected.append(w)
+            got = completions(i, length)
+            assert got == expected
+            if length:
+                # twins (w, w | 1), w at the even indices: what the
+                # enumeration core's lane picker relies on
+                assert got == [w | b for w in got[::2] for b in (0, 1)]
+                assert not any(w & 1 for w in got[::2])
 
     def test_reach_counts(self):
         counts = reach_counts(20)

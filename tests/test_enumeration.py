@@ -6,7 +6,7 @@ import pytest
 
 from ocagen import enumeration
 from ocagen.compositions import compositions
-from ocagen.const_lang import words_of_length
+from ocagen.const_lang import completions, spell, words_of_length
 from ocagen.enumeration import (
     ORACLE_DEGREE_LIMIT,
     PairRecord,
@@ -34,14 +34,19 @@ GOLDEN_3 = [
 REFERENCE_SHA256_10 = "4e062eec03ea37c6cc389e023ced22fd9cb7fd9f247665e1e572123d6602fe6f"
 
 
+def replay_record(parts, mids, word):
+    """The record of one (composition, intermediates, word) triple,
+    assembled and replayed through dilcue from scratch."""
+    f, g = dilcue(assemble_quotients(parts, mids, word))
+    return PairRecord(f, g, (parts, mids, word))
+
+
 def replay_pairs(parts):
     """Reference slice for one composition: every (intermediates, word)
-    triple in lexicographic order, each assembled and replayed through
-    dilcue from scratch."""
+    triple in lexicographic order, each replayed by ``replay_record``."""
     for mids in intermediate_sequences(parts):
         for word in words_of_length(len(parts)):
-            f, g = dilcue(assemble_quotients(parts, mids, word))
-            yield PairRecord(f, g, (parts, mids, word))
+            yield replay_record(parts, mids, word)
 
 
 class TestIntermediateSequences:
@@ -157,6 +162,36 @@ class TestEnumerate:
             assert head == list(islice(replay_pairs(parts), 2000))
             first = next(enumeration._chunks(parts))
             assert 0 < len(enumeration._pairs(parts, *first)) <= 2 * enumeration.CHUNK_PAIRS
+
+    def test_blocks_from_every_state_at_the_real_cap(self, monkeypatch):
+        # k = 19: the words alone exceed the cap, so each of the two
+        # intermediate strings is cut at the four 2-symbol word prefixes,
+        # whose blocks start from all three automaton states.  The leading
+        # records of every chunk match their replay, and each state's lane
+        # picker is built once for the whole slice.
+        parts = (1,) * 9 + (2,) + (1,) * 9
+        k = len(parts)
+        builds = []
+
+        def counted(state, length):
+            builds.append(state)
+            return completions(state, length)
+
+        monkeypatch.setattr(enumeration, "completions", counted)
+        enumeration._picker.cache_clear()
+        records = iter(pairs_for_composition(parts, True))
+        chunks = list(enumeration._chunks(parts))
+        assert len(chunks) == 8
+        assert {state for _, _, state in chunks} == {0, 1, 2}
+        for mids, prefix, state in chunks:
+            words = spell(k, prefix, state)
+            assert 0 < len(words) <= enumeration.CHUNK_PAIRS
+            head = list(islice(records, 300))
+            assert head == [replay_record(parts, mids, word) for word in words[:300]]
+            tail = list(islice(records, len(words) - 301, len(words) - 300))
+            assert tail == [replay_record(parts, mids, words[-1])]
+        assert next(records, None) is None
+        assert sorted(builds) == [0, 1, 2]
 
     @pytest.mark.parametrize("with_provenance", [False, True])
     def test_degree_10_order_pinned(self, with_provenance):
