@@ -16,8 +16,9 @@ Indexed by row i and column j, it forms a Latin square of order 2^(d-1).
 Two linear rules yield orthogonal Latin squares exactly when their
 polynomials are coprime.  are_orthogonal checks this by the definition,
 never by gcd: with byte translation tables in C when the order is at most
-256 and every row of the first square is a permutation (as in every
-square latin_square builds), else with the set of superposed cells.
+256 and every row of both squares is a permutation (as in every square
+latin_square builds), else with the set of superposed cells.  Whether a
+square's rows qualify is decided once, when the square is built.
 """
 
 from __future__ import annotations
@@ -59,9 +60,13 @@ class LocalRule(NamedTuple("LocalRule", [("diameter", int), ("coeffs", int)])):
 
 
 class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[tuple[int, ...], ...])])):
-    """An order-N array over {0, .., N-1}; validity is checked by is_latin."""
+    """An order-N array over {0, .., N-1}; validity is checked by is_latin.
 
-    __slots__ = ()
+    For N <= 256 the square also keeps its rows as ``bytes`` in ``_rows``
+    when every row is a permutation of 0..N-1 (else None), for
+    are_orthogonal's table path: about N^2 + 41·N bytes.  Above 256 it
+    keeps nothing more.
+    """
 
     def __new__(cls, order: int, entries: tuple[tuple[int, ...], ...]) -> "LatinSquare":
         n = order
@@ -73,11 +78,25 @@ class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[t
         # and rows of order <= 256 then fit in bytes for its table path.
         if not all(map(set(range(n)).issuperset, entries)):
             raise ValueError(f"entries must lie in 0..{n - 1}")
-        return super().__new__(cls, order, entries)
+        rows = None
+        if n <= 256:
+            rows = tuple(map(bytes, entries))
+            # Deleting a row's bytes from 0..N-1 leaves nothing iff the row
+            # holds every symbol, i.e. is a permutation.
+            if any(map(bytes(range(n)).translate, repeat(None), rows)):
+                rows = None
+        self = super().__new__(cls, order, entries)
+        self._rows = rows
+        return self
 
     @classmethod
     def _make(cls, iterable) -> "LatinSquare":
         return cls(*iterable)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__ on every protocol, which
+        # checks the entries and recomputes _rows instead of carrying it.
+        return type(self), tuple(self)
 
 
 def rule_from_poly(p: Poly) -> LocalRule:
@@ -136,25 +155,22 @@ def is_latin(square: LatinSquare) -> bool:
 def are_orthogonal(first: LatinSquare, second: LatinSquare) -> bool:
     """Whether superposing the two squares yields all N^2 ordered pairs.
 
-    For N <= 256 with every row of ``first`` a permutation of 0..N-1, row
-    i of ``first`` holds symbol a in exactly one cell, so
+    When both squares kept their rows as bytes (N <= 256, every row a
+    permutation of 0..N-1; decided when each square was built), row i of
+    ``first`` holds symbol a in exactly one cell, so
     ``bytes.maketrans(row1, row2)`` is a table T_i with T_i[a] the entry of
     ``second`` there.  The pair (a, b) occurs iff some T_i[a] = b, so the
     squares are orthogonal iff for each a the N bytes T_i[a] cover 0..N-1,
-    i.e. deleting them from it with ``translate`` leaves nothing.  The
-    same test tells whether a row of ``first`` is a permutation.  Other
+    i.e. deleting them from it with ``translate`` leaves nothing.  Other
     squares, which can still be orthogonal (permute the cells of an
     orthogonal pair), go through the set of superposed cells.
     """
     n = first.order
     if second.order != n:
         raise ValueError(f"orders differ: {n} vs {second.order}")
-    if n <= 256:
-        symbols = bytes(range(n))
-        rows = list(map(bytes, first.entries))
-        if not any(map(symbols.translate, repeat(None), rows)):
-            tables = b"".join(map(bytes.maketrans, rows, map(bytes, second.entries)))
-            return not any(map(symbols.translate, repeat(None), [tables[a::256] for a in range(n)]))
+    if first._rows and second._rows:
+        tables = b"".join(map(bytes.maketrans, first._rows, second._rows))
+        return not any(map(bytes(range(n)).translate, repeat(None), [tables[a::256] for a in range(n)]))
     seen = set()
     add = seen.add
     for row1, row2 in zip(first.entries, second.entries):

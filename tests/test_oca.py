@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -122,7 +124,9 @@ def scrambled(pair, rng, duplicate=False):
 
 
 def orthogonality_cases(n, rng):
-    """Latin pairs, Latin against random, and scrambled orthogonal pairs of order n."""
+    """Pairs of order n: Latin pairs, Latin against random, the square whose
+    rows are all 0..N-1 (permutations, so table-path input, but not Latin)
+    against a Latin square and itself, and scrambled orthogonal pairs."""
     units = [s for s in range(1, n + 1) if math.gcd(s, n) == 1][:3]
     pairs = [(cyclic_square(n, s), cyclic_square(n, t)) for s in units for t in units]
     if n > 1 and n & (n - 1) == 0:
@@ -134,7 +138,10 @@ def orthogonality_cases(n, rng):
     noise = LatinSquare(n, tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
     shuffled = list(pairs[-1][1].entries)
     rng.shuffle(shuffled)
-    pairs += [(latin, noise), (latin, LatinSquare(n, tuple(shuffled))), stripes(n)]
+    rows_constant, rows_identity = stripes(n)
+    pairs += [(latin, noise), (latin, LatinSquare(n, tuple(shuffled))),
+              (rows_identity, latin), (rows_identity, rows_identity),
+              (rows_constant, rows_identity)]
     orthogonal = [pair for pair in pairs if reference_orthogonal(*pair)]
     for pair in orthogonal[:2] + orthogonal[-1:]:
         pairs.append(scrambled(pair, rng))
@@ -328,8 +335,11 @@ class TestChecks:
 
     @pytest.mark.parametrize("n", [*range(1, 10), 256, 257])
     def test_orthogonal_matches_reference(self, n):
-        # Orders 256 and 257 sit either side of the byte-table cut; scrambled
-        # pairs have rows that are not permutations, so they take the set path.
+        # Orders 256 and 257 sit either side of the byte-table cut.  Below it
+        # the path is chosen from the rows of both squares: a pair whose rows
+        # are all permutations takes the table path, Latin or not (the
+        # rows_identity pairs), and any other pair, such as a scrambled one,
+        # the set path.
         rng = random.Random(1000 + n)
         cases = orthogonality_cases(n, rng)
         outcomes = set()
@@ -339,6 +349,12 @@ class TestChecks:
             outcomes.add(expected)
         assert outcomes == ({True} if n == 1 else {True, False})
         assert n == 1 or not all(map(is_latin, (sq for pair in cases for sq in pair)))
+        table = [a._rows is not None and b._rows is not None for a, b in cases]
+        if n > 256:
+            assert not any(table)
+        elif n > 1:
+            assert not all(table)
+            assert any(t and not is_latin(a) for t, (a, _) in zip(table, cases))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 256, 257])
     def test_non_latin_orthogonal_pair(self, n):
@@ -346,6 +362,30 @@ class TestChecks:
         assert are_orthogonal(rows_constant, rows_identity)
         assert are_orthogonal(rows_identity, rows_constant)
         assert are_orthogonal(rows_constant, rows_constant) == (n == 1)
+
+    @pytest.mark.parametrize("n, polys", [(4, (0x7, 0x5)), (256, (0x11b, 0x11d)), (257, None)])
+    def test_rebuilt_squares_keep_everything(self, n, polys):
+        # copy, pickle, _replace and _make all rebuild through __new__.
+        if polys is None:
+            square, other = cyclic_square(n, 1), cyclic_square(n, 2)
+        else:
+            square, other = (latin_square(rule_from_poly(p)) for p in polys)
+        assert (square._rows is None) == (n > 256)
+        pickles = [pickle.dumps(square, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        rebuilt = [copy.copy(square), copy.deepcopy(square), square._replace(),
+                   LatinSquare._make(square), *map(pickle.loads, pickles)]
+        for sq in rebuilt:
+            assert type(sq) is LatinSquare
+            assert sq == square and hash(sq) == hash(square)
+            assert sq._rows == square._rows
+            order, entries = sq
+            assert order == n and entries == square.entries
+            assert type(entries) is tuple and all(type(row) is tuple for row in entries)
+            for a, b in ((sq, other), (other, sq), (sq, square)):
+                assert are_orthogonal(a, b) == reference_orthogonal(a, b)
+        assert reference_orthogonal(square, other) and not reference_orthogonal(square, square)
+        # A pickle carries the order and entries only; loading rebuilds _rows.
+        assert not any(b"_rows" in data for data in pickles)
 
     def test_order_512_pairs(self):
         # Diameter 10 (degree 9) gives order 512, above the byte cut.
