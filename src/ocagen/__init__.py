@@ -33,7 +33,6 @@ from .euclid import bijection_flip, dilcue, euclid_trace
 from .gf2poly import (
     DEGREE_OF_ZERO,
     Poly,
-    add,
     constant_term,
     degree,
     divmod_,
@@ -49,7 +48,6 @@ from .oca import (
     are_orthogonal,
     is_latin,
     latin_square,
-    poly_from_rule,
     rule_from_poly,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "Poly",
     "START",
     "STATES",
-    "add",
     "are_orthogonal",
     "assemble_quotients",
     "bijection_flip",
@@ -92,7 +89,6 @@ __all__ = [
     "oracle_pairs",
     "pairs_for_composition",
     "parse_poly",
-    "poly_from_rule",
     "rule_from_poly",
     "unit_polys",
     "words_of_length",

@@ -84,22 +84,24 @@ def count_words(k: int) -> int:
     return ((1 << k) + (2 if k % 2 == 0 else -2)) // 3
 
 
-def reach_counts(k: int) -> list[tuple[int, ...]]:
-    """counts[r][i] = number of words of length r that read state i back to
-    ACCEPT, for r = 0..k; counts[k][START_INDEX] == count_words(k)."""
-    counts = [tuple(int(state == ACCEPT) for state in STATES)]
-    for _ in range(k):
-        prev = counts[-1]
-        counts.append(tuple(prev[on0] + prev[on1] for on0, on1 in INV))
-    return counts
-
-
 # The package's one automaton walk.  The completions of length r + 1 from
 # a state are each symbol followed by the completions of length r from the
 # state it reads to, so with the first symbol highest they come out in
-# ascending (lexicographic) order.  A block of ``word_blocks`` is a prefix
-# and the state it reads to: ``spell`` writes out its words, and the
-# enumeration core picks its lanes, from that state's completions.
+# ascending (lexicographic) order.  ``word_blocks`` cuts the words by their
+# closed-form count.  A block is a prefix and the state it reads to:
+# ``spell`` writes out its words, and the enumeration core picks its lanes,
+# from that state's completions.
+
+
+def count_completions(state: int, length: int) -> int:
+    """len(completions(state, length)), in closed form: from ACCEPT the
+    valid words; from (0, 1), where both symbols read to ACCEPT, twice the
+    valid words one shorter; and from (1, 1) the rest of the 2^length
+    strings, because each symbol permutes the states, so every string reads
+    exactly one state to ACCEPT."""
+    words = count_words(length)
+    after_one = 2 * count_words(length - 1) if length else 0
+    return {ACCEPT: words, (0, 1): after_one, (1, 1): (1 << length) - words - after_one}[STATES[state]]
 
 
 def completions(state: int, length: int) -> list[int]:
@@ -118,26 +120,22 @@ def word_blocks(k: int, cap: int) -> Iterator[tuple[str, int]]:
 
     A block is (prefix, state): the words that start with ``prefix``, which
     the inverse automaton reads from START to STATES[state]; ``spell`` lists
-    them.  The prefix length is the least that keeps every block within
-    ``cap``, so the blocks are all the words at once when there are at most
-    ``cap`` of them.  Nothing is emitted when no word has length k.
+    them.  Starting from the empty prefix, a prefix with more than ``cap``
+    completions splits into its two one-symbol extensions, and a prefix
+    with none is dropped.  So the blocks are all the words at once when
+    there are at most ``cap`` of them, and nothing is emitted when no word
+    has length k.
     """
-    counts = reach_counts(k)
-    p, states = 0, {START_INDEX}
-    while max(counts[k - p][i] for i in states) > cap:
-        p += 1
-        states = {INV[i][s] for i in states for s in (0, 1)}
-
-    def walk(state: int, prefix: str) -> Iterator[tuple[str, int]]:
-        if len(prefix) == p:
+    # Depth first on an explicit stack, the 0-extension on top: a prefix can
+    # be longer than Python's recursion limit.
+    stack = [("", START_INDEX)]
+    while stack:
+        prefix, state = stack.pop()
+        count = count_completions(state, k - len(prefix))
+        if count > cap:
+            stack += [(prefix + "1", INV[state][1]), (prefix + "0", INV[state][0])]
+        elif count:
             yield prefix, state
-        else:
-            for s, nxt in enumerate(INV[state]):
-                if counts[k - len(prefix) - 1][nxt]:
-                    yield from walk(nxt, prefix + "01"[s])
-
-    if counts[k][START_INDEX]:
-        yield from walk(START_INDEX, "")
 
 
 def spell(k: int, prefix: str, state: int) -> list[str]:

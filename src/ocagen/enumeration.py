@@ -21,19 +21,18 @@ the valid words, taken in that order, so a record's generating triple is
 fixed by its position in the stream: provenance is read off the core's
 output, never replayed.
 
-``enumerate_pairs`` is the full stream, ``pair_chunks`` the same stream
-one chunk at a time, as flat (f0, g0, f1, g1, ..) tuples, and
-``pair_tuples`` a view of it as (f, g) tuples; ``pairs_for_composition``
-is the independently consumable partition for one quotient degree
-sequence.  A brute-force ``oracle_pairs`` (direct gcd filtering) and the
-two exact counting forms are provided for verification.
+``enumerate_pairs`` is the full stream and ``pair_chunks`` the same
+stream one chunk at a time, as flat (f0, g0, f1, g1, ..) tuples;
+``pairs_for_composition`` is the independently consumable partition for
+one quotient degree sequence.  A brute-force ``oracle_pairs`` (direct gcd
+filtering) and the two exact counting forms are provided for verification.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -102,8 +101,8 @@ def assemble_quotients(parts: Composition, intermediates: str, word: str) -> tup
     p_j is monic of degree parts[j]; its X^1..X^(d_j - 1) coefficients are
     consumed left-to-right from ``intermediates`` through one contiguous
     cursor, and its constant term is word[j].  The forced trailing unit
-    quotient is appended.  Raises ValueError on length mismatches or an
-    invalid word.
+    quotient is appended.  Raises ValueError on length mismatches, an
+    invalid word or an intermediate bit other than 0 and 1.
     """
     k = len(parts)
     n = sum(parts)
@@ -118,24 +117,12 @@ def assemble_quotients(parts: Composition, intermediates: str, word: str) -> tup
         )
     if not is_valid_word(word):
         raise ValueError(f"constant-term word {word!r} is not valid")
-    quotients = []
-    cursor = 0
-    for d, s in zip(parts, word):
-        p = (1 << d) | _bit(s)
-        for i in range(1, d):
-            p |= _bit(intermediates[cursor]) << i
-            cursor += 1
-        quotients.append(p)
-    quotients.append(1)
-    return tuple(quotients)
-
-
-def _bit(ch: str) -> int:
-    if ch == "0":
-        return 0
-    if ch == "1":
-        return 1
-    raise ValueError(f"bit strings must consist of 0s and 1s, got {ch!r}")
+    if not set(intermediates) <= {"0", "1"}:
+        raise ValueError(f"bit strings must consist of 0s and 1s, got {intermediates!r}")
+    # p_j below X^d_j, high bit first: its d_j - 1 intermediate bits reversed, then s_j.
+    bits = iter(intermediates)
+    lows = ("".join(islice(bits, d - 1))[::-1] + s for d, s in zip(parts, word))
+    return (*(1 << d | int(low, 2) for d, low in zip(parts, lows)), 1)
 
 
 def enumerate_pairs(n: int, with_provenance: bool = False) -> Iterator[PairRecord]:
@@ -155,11 +142,6 @@ def pair_chunks(n: int) -> Iterator[tuple[Poly, ...]]:
     2·CHUNK_PAIRS polynomials, without building records: the form the CLI
     writes."""
     return (_pairs(parts, *chunk) for parts in _compositions(n) for chunk in _chunks(parts))
-
-
-def pair_tuples(n: int) -> Iterator[tuple[Poly, Poly]]:
-    """The pairs of ``enumerate_pairs(n)`` as plain (f, g) tuples, in the same order."""
-    return chain.from_iterable(zip(flat[::2], flat[1::2]) for flat in pair_chunks(n))
 
 
 def _compositions(n: int) -> Iterator[Composition]:
@@ -230,9 +212,10 @@ def _picker(state: int, depth: int, unfixed: int) -> Callable[[Sequence[Poly]], 
     """Picks a chunk's pairs from its lanes, f's lanes followed by g's, as
     (f0, g0, f1, g1, ..) in stream order: for each setting of the unfixed
     intermediate bits, the block's words, whose suffixes are the completions
-    of length ``depth`` from ``state``.  All chunks of one k in a degree's
-    stream share ``depth`` and ``unfixed``, so they need at most one picker
-    per automaton state.
+    of length ``depth`` from ``state``.  At the real cap, all chunks of one
+    k in a degree's stream share ``unfixed`` and ``depth`` (every state has
+    under 2^16 completions of length 17 and over 2^16 of length 18), so
+    they need at most one picker per automaton state.
 
     A completion ends in a free symbol, so they come in twins w0, w1, and
     the last step of dilcuE gives w1 the pair of w0 swapped.  Only the

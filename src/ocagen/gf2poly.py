@@ -33,11 +33,6 @@ def constant_term(p: Poly) -> int:
     return p & 1
 
 
-def add(a: Poly, b: Poly) -> Poly:
-    """Sum of a and b (coefficientwise XOR; characteristic 2)."""
-    return a ^ b
-
-
 def mul(a: Poly, b: Poly) -> Poly:
     """Carry-less product of a and b: the package's one multiply, called by
     ``dilcue`` and ``latin_square``.  The enumeration core forms the same

@@ -112,11 +112,6 @@ def rule_from_poly(p: Poly) -> LocalRule:
     return LocalRule(p.bit_length(), p)
 
 
-def poly_from_rule(rule: LocalRule) -> Poly:
-    """Inverse of rule_from_poly."""
-    return rule.coeffs
-
-
 def latin_square(rule: LocalRule) -> LatinSquare:
     """Tabulate the rule's global map on 2(d-1) cells as a Latin square.
 

@@ -37,6 +37,9 @@ WRITER_SHA256 = {
     # 87,382 words: two 2^16-word blocks
     ("words", "--length", "18"):
         "aa4c25fd1bdbc97e02c0a741919a6fea57502a8332b649f46040df021f029b99",
+    # 349,526 words: eight 3-symbol-prefix blocks, from all three states
+    ("words", "--length", "20"):
+        "8ec19832df9cf2ad6a4f68305dcfeab40b9d5eef7da7439c738d996e360a5f6b",
     ("words", "--length", "12"):
         "7a909cf4dd70ad12c8e6b08ac4f310167b78904eb159d7aa0eab8b417268adfd",
     ("compositions", "--n", "9", "--k", "4"):

@@ -1,5 +1,5 @@
 import re
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from ocagen.const_lang import (
     ACCEPT,
+    INV,
     START,
     START_INDEX,
     STATES,
     completions,
+    count_completions,
     count_words,
     delta,
     inverse_delta,
     is_valid_word,
-    reach_counts,
     spell,
     word_blocks,
     words_of_length,
@@ -121,10 +122,27 @@ class TestWords:
     def test_blocks_partition_the_words(self, cap):
         for k in range(0, 13):
             blocks = list(word_blocks(k, cap))
-            assert [w for block in blocks for w in spell(k, *block)] == list(words_of_length(k))
+            words = list(words_of_length(k))
+            assert [w for block in blocks for w in spell(k, *block)] == words
             assert all(1 <= len(spell(k, *block)) <= cap for block in blocks)
             if count_words(k) <= cap:
                 assert [prefix for prefix, _ in blocks] == ([""] if count_words(k) else [])
+            # the split rule: a prefix is cut only when it holds more than cap words
+            for prefix, _ in blocks:
+                if prefix:
+                    assert sum(w.startswith(prefix[:-1]) for w in words) > cap
+
+    def test_real_cap_blocks_share_one_depth(self):
+        # Every state has under 2^16 completions of length 17 and over 2^16
+        # of length 18, so at that cap a block of k >= 18 is a 17-symbol suffix.
+        for k in range(18, 61):
+            blocks = list(islice(word_blocks(k, 1 << 16), 500))
+            assert {len(prefix) for prefix, _ in blocks} == {k - 17}
+
+    def test_prefixes_past_the_recursion_limit(self):
+        prefix, state = next(word_blocks(3000, 1 << 16))
+        assert len(prefix) == 3000 - 17
+        assert is_valid_word(prefix + format(completions(state, 17)[0], "017b"))
 
     @pytest.mark.parametrize("length", range(0, 13))
     def test_completions_match_brute_force(self, length):
@@ -146,18 +164,17 @@ class TestWords:
                 assert got == [w | b for w in got[::2] for b in (0, 1)]
                 assert not any(w & 1 for w in got[::2])
 
-    def test_reach_counts(self):
-        counts = reach_counts(20)
-        assert [row[START_INDEX] for row in counts] == [count_words(k) for k in range(21)]
-        for k in range(11):
-            for i, state in enumerate(STATES):
-                landed = 0
-                for bits in product((0, 1), repeat=k):
-                    s = state
-                    for b in bits:
-                        s = inverse_delta(s, b)
-                    landed += s == ACCEPT
-                assert counts[k][i] == landed
+    def test_count_completions(self):
+        # completions is checked by brute force above; beyond its reach the
+        # closed form must follow the automaton's one-symbol recurrence.
+        for length in range(21):
+            for i in range(len(STATES)):
+                assert count_completions(i, length) == len(completions(i, length))
+        for length in range(61):
+            assert count_completions(START_INDEX, length) == count_words(length)
+            assert sum(count_completions(i, length) for i in range(len(STATES))) == 1 << length
+            for i, on in enumerate(INV):
+                assert count_completions(i, length + 1) == sum(count_completions(nxt, length) for nxt in on)
 
 
 class TestCounts:

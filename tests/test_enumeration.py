@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -16,7 +16,7 @@ from ocagen.enumeration import (
     enumerate_pairs,
     intermediate_sequences,
     oracle_pairs,
-    pair_tuples,
+    pair_chunks,
     pairs_for_composition,
 )
 from ocagen.euclid import dilcue, euclid_trace
@@ -86,6 +86,13 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble_quotients((1, 1), "", "10")
 
+    @pytest.mark.parametrize("bad", ["2", "x", " ", "_"])
+    def test_invalid_intermediate_bit(self, bad):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            assemble_quotients((2, 1), bad, "01")
+        with pytest.raises(ValueError, match="0s and 1s"):
+            assemble_quotients((3, 2), "1" + bad + "0", "00")
+
     def test_quotient_shape(self):
         qs = assemble_quotients((3, 2, 1), "101", "110")
         assert qs[-1] == 1
@@ -108,7 +115,7 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_pairs(0)
         with pytest.raises(ValueError):
-            pair_tuples(0)
+            pair_chunks(0)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_oracle_without_duplicates(self, n):
@@ -147,7 +154,8 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_pair_tuples_match_records(self, n):
-        assert list(pair_tuples(n)) == [(r.f, r.g) for r in enumerate_pairs(n)]
+        flat = chain.from_iterable(pair_chunks(n))
+        assert list(zip(flat, flat)) == [(r.f, r.g) for r in enumerate_pairs(n)]
 
     @pytest.mark.parametrize("n", [20, 40, 64, 100])
     def test_lane_widths_beyond_exhaustive_reach(self, n):

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from ocagen import enumeration
+from ocagen.const_lang import INV, START_INDEX, count_completions
 from ocagen.gf2poly import gcd, mul, unit_polys
 from ocagen.oca import (
     SQUARE_DEGREE_LIMIT,
@@ -13,7 +15,6 @@ from ocagen.oca import (
     are_orthogonal,
     is_latin,
     latin_square,
-    poly_from_rule,
     rule_from_poly,
 )
 
@@ -92,6 +93,61 @@ def reference_orthogonal(a, b):
     """Whether superposing the squares gives N^2 distinct pairs (e1, e2)."""
     cells = {(e1, e2) for r1, r2 in zip(a.entries, b.entries) for e1, e2 in zip(r1, r2)}
     return len(cells) == a.order ** 2
+
+
+# Reference: orthogonality of two linear rules with no Euclid and no
+# square.  Superposed, the rules of two degree-n polynomials map 2n cells to
+# 2n cells, and their squares are orthogonal exactly when that linear map
+# is a bijection: when its matrix over GF(2), the Sylvester matrix of the
+# pair, has full rank (Mariot, Gadouleau, Formenti & Leporati, Des. Codes
+# Cryptogr. 2020).
+
+def window_rows(rule, cells):
+    """The global map on ``cells`` cells as GF(2) rows, one per output cell:
+    output i reads cell i + j with weight coefficient j (see ``evaluate``),
+    so its row is the rule's coefficient mask shifted up by i."""
+    return [rule.coeffs << i for i in range(cells - rule.diameter + 1)]
+
+
+def gf2_rank(rows):
+    """Rank over GF(2) of int bit-rows, by XOR-basis elimination."""
+    basis = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def superposed_rank(f, g):
+    """Rank of the superposed global map of two equal-degree rules, on 2n cells."""
+    a, b = rule_from_poly(f), rule_from_poly(g)
+    assert a.diameter == b.diameter
+    cells = 2 * (a.diameter - 1)
+    return gf2_rank(window_rows(a, cells) + window_rows(b, cells))
+
+
+def sampled_chunk_pairs(n, rng):
+    """Pairs of one seeded chunk from each of three compositions of n (two
+    parts, a random number of parts, n parts), as the enumeration core
+    makes it: random fixed intermediate bits and a random word block, found
+    by the split rule of ``word_blocks``.  Call with CHUNK_PAIRS patched
+    small, so the chunks stay cheap at any degree."""
+    pairs = []
+    for k in (2, rng.randrange(3, n), n):
+        cuts = sorted(rng.sample(range(1, n), k - 1))
+        parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        mids = "".join(rng.choice("01") for _ in next(enumeration._chunks(parts))[0])
+        prefix, state = "", START_INDEX
+        while count_completions(state, k - len(prefix)) > enumeration.CHUNK_PAIRS:
+            s = rng.choice([s for s in (0, 1) if count_completions(INV[state][s], k - len(prefix) - 1)])
+            prefix, state = prefix + "01"[s], INV[state][s]
+        flat = enumeration._pairs(parts, mids, prefix, state)
+        pairs += rng.sample(list(zip(flat[::2], flat[1::2])), 2)
+    return pairs
 
 
 def cyclic_square(n, s):
@@ -197,17 +253,17 @@ class TestRulePolyMap:
         assert rule_from_poly(0x3) == LocalRule(2, 0b11)
 
     def test_inverse_examples(self):
-        assert poly_from_rule(RULE_90) == 0x5
-        assert poly_from_rule(LocalRule(2, 0b11)) == 0x3
-        assert poly_from_rule(LocalRule(4, 0b1011)) == 0xB
+        assert RULE_90.coeffs == 0x5
+        assert LocalRule(2, 0b11).coeffs == 0x3
+        assert LocalRule(4, 0b1011).coeffs == 0xB
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_round_trip(self, n):
         for p in unit_polys(n):
             rule = rule_from_poly(p)
             assert rule.diameter == n + 1
-            assert poly_from_rule(rule) == p
-            assert rule_from_poly(poly_from_rule(rule)) == rule
+            assert rule.coeffs == p
+            assert rule_from_poly(rule.coeffs) == rule
 
     def test_invalid_polynomials(self):
         with pytest.raises(ValueError):
@@ -423,3 +479,45 @@ class TestChecks:
             assert is_latin(sq_f) and is_latin(sq_g)
             assert are_orthogonal(sq_f, sq_g) == (gcd(f, g) == 1)
         assert {gcd(f, g) == 1 for f, g in pairs} == {True, False}
+
+
+class TestSuperposedRank:
+    def test_window_rows_are_the_global_map(self):
+        rng = random.Random(5)
+        for p in (0x3, 0x5, 0x7, 0xB, 0x1F, 0x211):
+            rule = rule_from_poly(p)
+            for cells in (rule.diameter, 2 * rule.diameter + 3):
+                for _ in range(20):
+                    x = rng.getrandbits(cells)
+                    bits = [(x >> j) & 1 for j in range(cells)]
+                    parities = [bin(row & x).count("1") & 1 for row in window_rows(rule, cells)]
+                    assert parities == global_map(rule, bits)
+
+    def test_rank_examples(self):
+        assert gf2_rank([]) == gf2_rank([0]) == 0
+        assert gf2_rank([0b110, 0b011, 0b101]) == 2
+        assert gf2_rank([0b100, 0b110, 0b111]) == 3
+        assert superposed_rank(0x5, 0x7) == 4
+        assert superposed_rank(0x9, 0xF) == 5    # gcd X + 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_are_orthogonal(self, n):
+        polys = list(unit_polys(n))
+        squares = {p: latin_square(rule_from_poly(p)) for p in polys}
+        for f in polys:
+            for g in polys:
+                assert (superposed_rank(f, g) == 2 * n) == are_orthogonal(squares[f], squares[g])
+
+    @pytest.mark.parametrize("n", [64, 256, 1000])
+    def test_beyond_exhaustive_reach(self, n, monkeypatch):
+        # Enumerated pairs are full rank; a shared factor h of degree dh
+        # leaves rank at most 2n - dh.
+        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", 64)
+        rng = random.Random(n)
+        for f, g in sampled_chunk_pairs(n, rng):
+            assert f.bit_length() == g.bit_length() == n + 1
+            assert superposed_rank(f, g) == 2 * n
+        dh = rng.randrange(1, n - 3)  # sampled_chunk_pairs needs degree 4 or more
+        h = random_unit_poly(rng, dh)
+        for f, g in sampled_chunk_pairs(n - dh, rng)[::2]:
+            assert superposed_rank(mul(h, f), mul(h, g)) <= 2 * n - dh
