@@ -10,17 +10,18 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import binascii
 import json
 import sys
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 from .compositions import compositions, count_compositions
 from .const_lang import count_words, words_of_length
-from .enumeration import count_pairs, count_pairs_sum, oracle_pairs, pair_chunks
+from .enumeration import count_pairs, count_pairs_sum, lane_bytes, lane_ints, oracle_pairs, pair_columns
 from .euclid import euclid_trace
-from .gf2poly import Poly, constant_term, degree, format_poly, gcd, parse_poly
+from .gf2poly import constant_term, degree, format_poly, gcd, parse_poly
 from .oca import are_orthogonal, latin_square, rule_from_poly
 
 FLUSH_EVERY = 1024  # lines per block of a words, compositions or oracle listing
@@ -114,23 +115,24 @@ def _open_out(path: str):
             yield fh
 
 
-def _checked(chunks: Iterable[tuple[Poly, ...]], n: int) -> Iterator[tuple[Poly, ...]]:
-    """The chunks, each passed on once every pair in it is checked."""
-    for flat in chunks:
-        pairs = iter(flat)
-        for f, g in zip(pairs, pairs):
+def _checked(chunks: Iterable[bytes], n: int) -> Iterator[bytes]:
+    """The chunks of columns, each passed on once every pair in it is checked."""
+    for cols in chunks:
+        ints = lane_ints(cols, lane_bytes(n))
+        for f, g in zip(ints, ints[len(ints) >> 1:]):
             if gcd(f, g) != 1:
                 raise ValueError(f"check failed: gcd({f:#x}, {g:#x}) != 1")
             if degree(f) != n or degree(g) != n:
                 raise ValueError(f"check failed: ({f:#x}, {g:#x}) is not of degree {n}")
-        yield flat
+        yield cols
 
 
-def _limited(chunks: Iterator[tuple[Poly, ...]], size: int) -> Iterator[tuple[Poly, ...]]:
-    """The chunks cut to ``size`` entries in all; none past the cut is made."""
-    while size > 0 and (flat := next(chunks, None)) is not None:
-        yield flat[:size]
-        size -= len(flat)
+def _limited(chunks: Iterator[bytes], size: int) -> Iterator[bytes]:
+    """The chunks of columns cut to ``size`` bytes a column in all; none past the cut is made."""
+    while size > 0 and (cols := next(chunks, None)) is not None:
+        half = len(cols) >> 1
+        yield cols if half <= size else cols[:size] + cols[half:half + size]
+        size -= half
 
 
 def _write_lines(path: str, lines: Iterator[str]) -> None:
@@ -153,17 +155,31 @@ def _write_blocks(out: TextIO, blocks: Iterable[str], head: str = "", sep: str =
         out.write(tail)
 
 
-def _write_pairs(path: str, chunks: Iterable[tuple[Poly, ...]], fmt: str, n: int, total: int) -> None:
-    """Write the pairs of ``chunks``, flat (f0, g0, f1, g1, ..) tuples, as a
-    listing in ``fmt``: one format call per chunk, on the line template
-    repeated for its pairs."""
+def _write_pairs(path: str, chunks: Iterable[bytes], fmt: str, n: int, total: int) -> None:
+    """Write ``chunks``, columns as ``pair_columns(n)`` yields them, as a
+    listing in ``fmt``.  A degree-n polynomial has n // 4 + 1 hex digits, so
+    each line is one template with two holes: two strided copies per digit
+    fill them."""
     head, line, sep, tail = {
-        "text": ("", "%#x %#x\n", "", ""),
-        "csv": ("f,g\n", "%#x,%#x\n", "", ""),
-        "json": ('{"degree": %d, "count": %d, "pairs": [' % (n, total), '{"f": "%#x", "g": "%#x"}', ", ", "]}\n"),
+        "text": ("", "0x%s 0x%s\n", "", ""),
+        "csv": ("f,g\n", "0x%s,0x%s\n", "", ""),
+        "json": ('{"degree": %d, "count": %d, "pairs": [' % (n, total), '{"f": "0x%s", "g": "0x%s"}', ", ", "]}\n"),
     }[fmt]
+    size, digits = lane_bytes(n), n // 4 + 1
+    holes = line.index("%s") + digits - 1, line.rindex("%s") + 2 * digits - 3  # each number's last digit
+    line = (line % ("0" * digits, "0" * digits) + sep).encode()
+
+    def text(cols: bytes) -> str:
+        hexed = binascii.hexlify(cols)
+        half = len(hexed) >> 1
+        out = bytearray(line * (half // (2 * size)))
+        for hole, col in zip(holes, (0, half)):
+            for j in range(digits):  # nibble j: the high one of byte j // 2 comes first
+                out[hole - j::len(line)] = hexed[col + (j ^ 1):col + half:2 * size]
+        return out.decode("ascii")[:len(out) - len(sep)]
+
     with _open_out(path) as out:
-        _write_blocks(out, (sep.join([line] * (len(flat) >> 1)) % flat for flat in chunks), head, sep, tail)
+        _write_blocks(out, map(text, chunks), head, sep, tail)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -172,10 +188,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     total = count_pairs(n)
-    chunks = pair_chunks(n)
+    chunks = pair_columns(n)
     if limit is not None:
         total = min(total, limit)
-        chunks = _limited(chunks, 2 * limit)
+        chunks = _limited(chunks, limit * lane_bytes(n))
     if args.check:
         chunks = _checked(chunks, n)
     _write_pairs(args.output, chunks, args.format, n, total)
@@ -197,7 +213,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     n = args.degree
     pairs = sorted(oracle_pairs(n))
-    chunks = (tuple(chain.from_iterable(pairs[i:i + FLUSH_EVERY])) for i in range(0, len(pairs), FLUSH_EVERY))
+    size = lane_bytes(n)
+    chunks = (b"".join(pair[x].to_bytes(size, "little") for x in (0, 1) for pair in pairs[i:i + FLUSH_EVERY])
+              for i in range(0, len(pairs), FLUSH_EVERY))
     _write_pairs(args.output, chunks, args.format, n, len(pairs))
     return 0
 

@@ -89,8 +89,8 @@ def count_words(k: int) -> int:
 # state it reads to, so with the first symbol highest they come out in
 # ascending (lexicographic) order.  ``word_blocks`` cuts the words by their
 # closed-form count.  A block is a prefix and the state it reads to:
-# ``spell`` writes out its words, and the enumeration core picks its lanes,
-# from that state's completions.
+# ``spell`` writes out its words, and the enumeration core lays out one
+# lane per ending-0 word, from that state's completions.
 
 
 def count_completions(state: int, length: int) -> int:

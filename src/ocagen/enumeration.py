@@ -15,16 +15,17 @@ lexicographic order.  It is built in chunks of at most CHUNK_PAIRS pairs,
 so its memory is bounded at any degree.
 
 One lane-packed core generates every pair: it runs dilcuE once per chunk,
-for all of the chunk's candidates at once, as lanes of one int.  Within a
-composition the pairs are a plain product of the intermediate strings and
-the valid words, taken in that order, so a record's generating triple is
-fixed by its position in the stream: provenance is read off the core's
-output, never replayed.
+for all of the chunk's valid words at once, as lanes of one int read out
+as bytes.  Within a composition the pairs are a plain product of the
+intermediate strings and the valid words, taken in that order, so a
+record's generating triple is fixed by its position in the stream:
+provenance is read off the core's output, never replayed.
 
 ``enumerate_pairs`` is the full stream and ``pair_chunks`` the same
 stream one chunk at a time, as flat (f0, g0, f1, g1, ..) tuples;
 ``pairs_for_composition`` is the independently consumable partition for
-one quotient degree sequence.  A brute-force ``oracle_pairs`` (direct gcd
+one quotient degree sequence; ``pair_columns`` is the stream as the bytes
+a listing is written from.  A brute-force ``oracle_pairs`` (direct gcd
 filtering) and the two exact counting forms are provided for verification.
 """
 
@@ -35,7 +36,7 @@ from functools import lru_cache
 from itertools import chain, islice, product, repeat
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .compositions import Composition, compositions
 from .const_lang import completions, count_words, is_valid_word, spell, word_blocks
@@ -139,9 +140,15 @@ def enumerate_pairs(n: int, with_provenance: bool = False) -> Iterator[PairRecor
 def pair_chunks(n: int) -> Iterator[tuple[Poly, ...]]:
     """The pairs of ``enumerate_pairs(n)``, in the same order, one chunk at a
     time, each chunk one flat tuple (f0, g0, f1, g1, ..) of at most
-    2·CHUNK_PAIRS polynomials, without building records: the form the CLI
-    writes."""
+    2·CHUNK_PAIRS polynomials, without building records."""
     return (_pairs(parts, *chunk) for parts in _compositions(n) for chunk in _chunks(parts))
+
+
+def pair_columns(n: int) -> Iterator[bytearray]:
+    """The chunks of ``pair_chunks(n)`` as two columns X then Y of
+    lane_bytes(n)-byte little-endian ints, line i being (X_i, Y_i)."""
+    size = lane_bytes(n)
+    return (_columns(_lanes(parts, *chunk)[0], size) for parts in _compositions(n) for chunk in _chunks(parts))
 
 
 def _compositions(n: int) -> Iterator[Composition]:
@@ -162,37 +169,52 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
         raise ValueError("quotient degree sequences have at least two parts")
     # Records are built in C.  A chunk's triples are its intermediate strings,
     # counting up from the fixed bits, times its block's words.
-    free = sum(parts) - len(parts)
+    free, size = sum(parts) - len(parts), lane_bytes(sum(parts))
     return chain.from_iterable(
         map(tuple.__new__, repeat(PairRecord), zip(pairs, pairs, triples or repeat(None)))
         for mids, prefix, state in _chunks(parts)
-        for pairs in [iter(_pairs(parts, mids, prefix, state))]
+        for buf, twins, suffixes in [_lanes(parts, mids, prefix, state)]
+        for pairs in [iter(twins(lane_ints(buf, size)))]
         for triples in [with_provenance and product(
-            (parts,), map(mids.__add__, _bit_strings(free - len(mids))), spell(len(parts), prefix, state))]
+            (parts,), map(mids.__add__, _bit_strings(free - len(mids))),
+            map(prefix.__add__, suffixes) if prefix else suffixes)]
     )
 
 
 # The only pair generator.  dilcuE advances (A, B) -> (q·A + B, A) per
 # quotient from (1, 0), and the forced unit quotient ends it at
 # (f, g) = (A + B, A).  Each quotient bit enters one step linearly, so a
-# chunk runs dilcuE once for all its candidates, packed side by side as
-# lanes of w bits in one int (broadword, Knuth TAOCP 4A §7.1.3).  A lane's
-# index is its unfixed intermediate bits (stream significance, p_1's X^1
-# highest) above its word-suffix symbols but the last (s_(k-1) lowest), so
-# the lanes are in stream order; a free bit or symbol adds A·X^pos into the
-# lanes whose index has its bit set, through that bit's lane mask.  Every
-# value has degree at most n < w, so no lane carries into the next.  A slice
-# is cut into chunks of at most CHUNK_PAIRS pairs by fixing leading
+# chunk runs dilcuE once for all its candidates, as lanes of one int
+# (broadword, Knuth TAOCP 4A §7.1.3): a free bit or symbol adds A·X^pos
+# into the lanes that have it set, through its lane mask.  Every value has
+# degree at most n, below the lane width, so no lane carries into the next.
+# A slice is cut into chunks of at most CHUNK_PAIRS pairs by fixing leading
 # intermediate bits and, when the words alone are more, a word prefix: a
-# chunk is those bits and one (prefix, state) block of ``word_blocks``.  The
-# lanes of its valid words, the completions from that state, are picked out
-# at the end, each giving the pairs of its words ending in 0 and in 1 (see
-# _picker); a cap of at least 2 keeps the last symbol out of the prefix.
+# chunk is those bits and one (prefix, state) block of ``word_blocks``.  A
+# valid word ends in a free symbol, and the last step of dilcuE gives its
+# ending-1 twin the pair of its ending-0 twin swapped, so lane hi·C + j is
+# the hi-th setting of the unfixed bits with the j-th of the C ending-0
+# completions from that state: the lanes are the chunk's pairs without
+# their twins, in stream order.  A cap of at least 2 keeps the last symbol
+# out of the prefix.  The lanes come out as bytes, f's then g's.
 
 CHUNK_PAIRS = 1 << 16
 
-# Lane widths a memoryview reads natively (little-endian hosts).
-_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# Lane sizes in bytes that a memoryview reads natively (little-endian hosts).
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def lane_bytes(n: int) -> int:
+    """Bytes per polynomial in the lanes of the degree-n stream: the least
+    of 1, 2, 4 and 8 that holds degree n, past degree 63 the least number."""
+    return next((size for size in _LANE_FORMATS if size << 3 > n), n // 8 + 1)
+
+
+def lane_ints(buf: bytes, size: int) -> list[int]:
+    """The little-endian ints of ``size`` bytes each that fill ``buf``."""
+    if size in _LANE_FORMATS and sys.byteorder == "little":
+        return memoryview(buf).cast(_LANE_FORMATS[size]).tolist()
+    return [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
 
 
 def _chunks(parts: Composition) -> Iterator[tuple[str, str, int]]:
@@ -208,50 +230,35 @@ def _chunks(parts: Composition) -> Iterator[tuple[str, str, int]]:
 
 
 @lru_cache(maxsize=3)
-def _picker(state: int, depth: int, unfixed: int) -> Callable[[Sequence[Poly]], tuple[Poly, ...]]:
-    """Picks a chunk's pairs from its lanes, f's lanes followed by g's, as
-    (f0, g0, f1, g1, ..) in stream order: for each setting of the unfixed
-    intermediate bits, the block's words, whose suffixes are the completions
-    of length ``depth`` from ``state``.  At the real cap, all chunks of one
-    k in a degree's stream share ``unfixed`` and ``depth`` (every state has
-    under 2^16 completions of length 17 and over 2^16 of length 18), so
-    they need at most one picker per automaton state.
+def _layout(state: int, depth: int, unfixed: int, size: int) -> tuple:
+    """(ONES, the unfixed bits' lane masks, p_1's X^1 first, the suffix
+    symbols' but the last, the getter of (f, g, g, f) per lane, the suffixes
+    spelled).  At the real cap, all chunks of one k in a degree's stream
+    share ``unfixed`` and ``depth`` (every state has under 2^16 completions
+    of length 17 and over 2^16 of length 18), so they need at most one
+    layout per automaton state."""
+    leaves = completions(state, depth)[::2]
+    lanes, off, on = len(leaves) << unfixed, bytes(size), b"\xff" * size
 
-    A completion ends in a free symbol, so they come in twins w0, w1, and
-    the last step of dilcuE gives w1 the pair of w0 swapped.  Only the
-    lanes of w0 are computed; each yields (f, g) and then (g, f).
-    """
-    leaves = [w >> 1 for w in completions(state, depth)[::2]]
-    size = 1 << (unfixed + depth - 1)
-    kept = [hi | s for hi in range(0, size, 1 << (depth - 1)) for s in leaves]
-    first = itemgetter(*[i for s in kept for i in (s, size + s)])
-    twins = itemgetter(*[i for j in range(0, 2 * len(kept), 2) for i in (j, j + 1, j + 1, j)])
-    return lambda lanes: twins(first(lanes))
+    def mask(period: bytes) -> int:
+        return int.from_bytes(period * (lanes * size // len(period)), "little")
 
-
-@lru_cache(maxsize=1)
-def _lanes(D: int, w: int) -> tuple[int, list[int]]:
-    """(ONES, M) for 2^D lanes of w bits: ONES holds 1 in every lane, M[t]
-    all ones in the lanes whose index has bit t set."""
-    full = (1 << (w << D)) - 1
-    masks = [0] * D
-    for t in reversed(range(D)):
-        full ^= full >> (w << t)
-        masks[t] = full
-    return ((1 << (w << D)) - 1) // ((1 << w) - 1), masks
+    return (
+        mask(b"\1" + off[1:]),
+        [mask(off * (lanes >> t) + on * (lanes >> t)) for t in range(1, unfixed + 1)],
+        [mask(b"".join(on if leaf >> t & 1 else off for leaf in leaves)) for t in reversed(range(1, depth))],
+        itemgetter(*[i for p in range(lanes) for i in (p, lanes + p, lanes + p, p)]),
+        spell(depth, "", state),
+    )
 
 
-def _pairs(parts: Composition, mids: str, prefix: str, state: int) -> tuple[Poly, ...]:
-    """One chunk's pairs, in stream order, as one flat tuple (f0, g0, f1, g1, ..)."""
-    n = sum(parts)
-    w = next((w for w in _LANE_FORMATS if w > n), n // 8 * 8 + 8)
-    depth, unfixed = len(parts) - len(prefix), n - len(parts) - len(mids)
-    L = depth - 1  # symbols with a lane: the last one is 0 (see _picker)
-    D = unfixed + L
-    ones, masks = _lanes(D, w)
+def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> tuple[bytes, Callable, list[str]]:
+    """One chunk's lanes, f's then g's, as bytes, its pair getter and its suffixes."""
+    n, k, size = sum(parts), len(parts), lane_bytes(sum(parts))
+    ones, bits, symbols, twins, suffixes = _layout(state, k - len(prefix), n - k - len(mids), size)
     # The lanes of each term: a fixed 1 is in every lane (-1), a fixed 0 in none.
-    terms = iter([-1 if b == "1" else 0 for b in mids] + masks[L:][::-1])
-    consts = [-1 if s == "1" else 0 for s in prefix] + masks[:L][::-1] + [0]
+    terms = iter([-1 if b == "1" else 0 for b in mids] + bits)
+    consts = [-1 if s == "1" else 0 for s in prefix] + symbols + [0]
     A, B = ones, 0
     for d, c in zip(parts, consts):
         P = (A << d) ^ B
@@ -261,13 +268,25 @@ def _pairs(parts: Composition, mids: str, prefix: str, state: int) -> tuple[Poly
         if c:
             P ^= A & c
         A, B = P, A
-    # f's lanes, then g's, in one buffer.
-    buf = memoryview(((A ^ B) | A << (w << D)).to_bytes((w << D) >> 2, "little"))
-    pick = _picker(state, depth, unfixed)
-    if w in _LANE_FORMATS and sys.byteorder == "little":
-        return pick(buf.cast(_LANE_FORMATS[w]))
-    size = w >> 3
-    return tuple([int.from_bytes(buf[i * size:(i + 1) * size], "little") for i in pick(range(len(buf) // size))])
+    width = (len(suffixes) >> 1 << (n - k - len(mids))) * size
+    return ((A ^ B) | A << (width << 3)).to_bytes(2 * width, "little"), twins, suffixes
+
+
+def _pairs(parts: Composition, mids: str, prefix: str, state: int) -> tuple[Poly, ...]:
+    """One chunk's pairs, in stream order, as one flat tuple (f0, g0, f1, g1, ..)."""
+    buf, twins, _ = _lanes(parts, mids, prefix, state)
+    return twins(lane_ints(buf, lane_bytes(sum(parts))))
+
+
+def _columns(buf: bytes, size: int) -> bytearray:
+    """Lanes f, g as columns X, Y: lane p gives lines 2p, (f, g), and 2p + 1, (g, f)."""
+    half, end, step = len(buf) >> 1, len(buf), size << 1
+    cols = bytearray(end << 1)
+    for b in range(size):
+        f, g = buf[b:half:size], buf[half + b::size]
+        cols[b:end:step] = cols[end + size + b::step] = f
+        cols[size + b:end:step] = cols[end + b::step] = g
+    return cols
 
 
 def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:

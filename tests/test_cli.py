@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,11 +11,20 @@ from pathlib import Path
 import pytest
 
 import ocagen
-from ocagen.cli import run
-from ocagen.enumeration import CHUNK_PAIRS, ORACLE_DEGREE_LIMIT, count_pairs, pairs_for_composition
+from ocagen import enumeration
+from ocagen.cli import _write_pairs, run
+from ocagen.enumeration import (
+    CHUNK_PAIRS,
+    ORACLE_DEGREE_LIMIT,
+    count_pairs,
+    lane_bytes,
+    pair_chunks,
+    pair_columns,
+    pairs_for_composition,
+)
 from ocagen.gf2poly import gcd, parse_poly
 from ocagen.oca import SQUARE_DEGREE_LIMIT
-from test_enumeration import replay_pairs
+from test_enumeration import replay_pairs, seeded_chunks
 
 ABOVE_SQUARE_GUARD = hex((1 << (SQUARE_DEGREE_LIMIT + 1)) | 1)
 
@@ -51,7 +61,35 @@ WRITER_SHA256 = {
         "6102db8ed55d97bf00cf73ff80c5f7b138b126a91ec359cdf1c1e4665f898ab2",
     ("oracle", "--degree", "1", "--format", "json"):
         "2a01253aa09730f026a27471e351dcc10d02bfb4d92878ad9a762d68d195e96d",
+    # Every lane width, each cut at an odd line: 32-bit lanes, the cut inside
+    # a twin pair past the first chunk; 64-bit lanes; generic wider lanes.
+    ("enumerate", "--degree", "20", "--limit", "70001", "--format", "json"):
+        "d510f468ac32426c8addd875b8f3a03fbbae928d0e2463c37a6acdc046bf12a3",
+    ("enumerate", "--degree", "40", "--limit", "5000", "--format", "csv"):
+        "7abe6f4fb805d5f5cac2cdc8bf3fd3f4c732f92bd56ce5cbb69f78f0aa10439c",
+    ("enumerate", "--degree", "65", "--limit", "3001"):
+        "6ff13376bbb165092178954182ffbc69ae41a37db3a8e0412bad988c25558b16",
+    ("enumerate", "--degree", "13", "--limit", "3", "--format", "json"):
+        "91e8c2683c609081d52a77c2b33112e7c4c0bb63bd5854947f3068d29faea013",
+    ("oracle", "--degree", "7", "--format", "csv"):
+        "cf714fbe7fdbcc62697c7cab8e0bed04201e247f0c7cdfb1a8139a6922950a66",
 }
+
+
+# The reference pair writer: one % call per chunk of ints, on the line
+# template repeated.
+PERCENT_FORMATS = {
+    "text": ("", "%#x %#x\n", "", ""),
+    "csv": ("f,g\n", "%#x,%#x\n", "", ""),
+    "json": ('{"degree": %d, "count": %d, "pairs": [', '{"f": "%#x", "g": "%#x"}', ", ", "]}\n"),
+}
+
+
+def percent_listing(chunks, fmt, n, total):
+    head, line, sep, tail = PERCENT_FORMATS[fmt]
+    if fmt == "json":
+        head %= (n, total)
+    return head + sep.join(sep.join([line] * (len(flat) >> 1)) % flat for flat in chunks) + tail
 
 
 def lines_of(capsys):
@@ -62,6 +100,30 @@ def lines_of(capsys):
 def test_writer_output_pinned(argv, capsys):
     assert run(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == WRITER_SHA256[argv]
+
+
+class TestPairWriter:
+    # Every chunk of the stream, written from its columns, equals its ints
+    # written by the reference writer, in every format.
+
+    @pytest.mark.parametrize("cap", [3, 40])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_chunk_under_small_caps(self, n, cap, monkeypatch, capsys):
+        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", cap)
+        columns, chunks = list(pair_columns(n)), list(pair_chunks(n))
+        for fmt in PERCENT_FORMATS:
+            _write_pairs("-", columns, fmt, n, count_pairs(n))
+            assert capsys.readouterr().out == percent_listing(chunks, fmt, n, count_pairs(n))
+
+    @pytest.mark.parametrize("n", [20, 40, 64, 100])
+    def test_seeded_chunks_at_every_lane_width(self, n, monkeypatch, capsys):
+        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", 256)  # keeps a failure's diff quick
+        for chunk in seeded_chunks(n, random.Random(n)):
+            cols = enumeration._columns(enumeration._lanes(*chunk)[0], lane_bytes(n))
+            flat = enumeration._pairs(*chunk)
+            for fmt in PERCENT_FORMATS:
+                _write_pairs("-", [cols], fmt, n, len(flat) >> 1)
+                assert capsys.readouterr().out == percent_listing([flat], fmt, n, len(flat) >> 1)
 
 
 class TestCount:

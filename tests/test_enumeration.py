@@ -6,7 +6,7 @@ import pytest
 
 from ocagen import enumeration
 from ocagen.compositions import compositions
-from ocagen.const_lang import completions, spell, words_of_length
+from ocagen.const_lang import INV, START_INDEX, completions, count_completions, spell, words_of_length
 from ocagen.enumeration import (
     ORACLE_DEGREE_LIMIT,
     PairRecord,
@@ -47,6 +47,23 @@ def replay_pairs(parts):
     for mids in intermediate_sequences(parts):
         for word in words_of_length(len(parts)):
             yield replay_record(parts, mids, word)
+
+
+def seeded_chunks(n, rng):
+    """One seeded chunk (parts, mids, prefix, state) from each of three
+    compositions of n (two parts, a random number of parts, n parts), as
+    the enumeration core cuts it: random fixed intermediate bits and a
+    random word block, found by the split rule of ``word_blocks``.  Needs
+    n >= 4."""
+    for k in (2, rng.randrange(3, n), n):
+        cuts = sorted(rng.sample(range(1, n), k - 1))
+        parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        mids = "".join(rng.choice("01") for _ in next(enumeration._chunks(parts))[0])
+        prefix, state = "", START_INDEX
+        while count_completions(state, k - len(prefix)) > enumeration.CHUNK_PAIRS:
+            s = rng.choice([s for s in (0, 1) if count_completions(INV[state][s], k - len(prefix) - 1)])
+            prefix, state = prefix + "01"[s], INV[state][s]
+        yield parts, mids, prefix, state
 
 
 class TestIntermediateSequences:
@@ -176,7 +193,7 @@ class TestEnumerate:
         # intermediate strings is cut at the four 2-symbol word prefixes,
         # whose blocks start from all three automaton states.  The leading
         # records of every chunk match their replay, and each state's lane
-        # picker is built once for the whole slice.
+        # layout is built once for the whole slice.
         parts = (1,) * 9 + (2,) + (1,) * 9
         k = len(parts)
         builds = []
@@ -186,7 +203,7 @@ class TestEnumerate:
             return completions(state, length)
 
         monkeypatch.setattr(enumeration, "completions", counted)
-        enumeration._picker.cache_clear()
+        enumeration._layout.cache_clear()
         records = iter(pairs_for_composition(parts, True))
         chunks = list(enumeration._chunks(parts))
         assert len(chunks) == 8

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from ocagen import enumeration
-from ocagen.const_lang import INV, START_INDEX, count_completions
 from ocagen.gf2poly import gcd, mul, unit_polys
 from ocagen.oca import (
     SQUARE_DEGREE_LIMIT,
@@ -17,6 +16,7 @@ from ocagen.oca import (
     latin_square,
     rule_from_poly,
 )
+from test_enumeration import seeded_chunks
 
 RULE_150 = LocalRule(3, 0b111)   # x0 ^ x1 ^ x2
 RULE_90 = LocalRule(3, 0b101)    # x0 ^ x2
@@ -131,21 +131,12 @@ def superposed_rank(f, g):
 
 
 def sampled_chunk_pairs(n, rng):
-    """Pairs of one seeded chunk from each of three compositions of n (two
-    parts, a random number of parts, n parts), as the enumeration core
-    makes it: random fixed intermediate bits and a random word block, found
-    by the split rule of ``word_blocks``.  Call with CHUNK_PAIRS patched
-    small, so the chunks stay cheap at any degree."""
+    """Two seeded pairs of each chunk of ``seeded_chunks(n, rng)``, as the
+    enumeration core makes them.  Call with CHUNK_PAIRS patched small, so
+    the chunks stay cheap at any degree."""
     pairs = []
-    for k in (2, rng.randrange(3, n), n):
-        cuts = sorted(rng.sample(range(1, n), k - 1))
-        parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
-        mids = "".join(rng.choice("01") for _ in next(enumeration._chunks(parts))[0])
-        prefix, state = "", START_INDEX
-        while count_completions(state, k - len(prefix)) > enumeration.CHUNK_PAIRS:
-            s = rng.choice([s for s in (0, 1) if count_completions(INV[state][s], k - len(prefix) - 1)])
-            prefix, state = prefix + "01"[s], INV[state][s]
-        flat = enumeration._pairs(parts, mids, prefix, state)
+    for chunk in seeded_chunks(n, rng):
+        flat = enumeration._pairs(*chunk)
         pairs += rng.sample(list(zip(flat[::2], flat[1::2])), 2)
     return pairs
 
