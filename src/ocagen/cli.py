@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .compositions import compositions, count_compositions
 from .const_lang import count_words, words_of_length
-from .enumeration import count_pairs, count_pairs_sum, lane_bytes, lane_ints, oracle_pairs, pair_columns
+from .enumeration import count_pairs, count_pairs_sum, lane_bytes, lane_ints, oracle_pairs, pair_chunks
 from .euclid import euclid_trace
 from .gf2poly import constant_term, degree, format_poly, gcd, parse_poly
 from .oca import are_orthogonal, latin_square, rule_from_poly
@@ -61,7 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--limit", type=int, default=None, help="emit at most this many pairs")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--check", action="store_true", help="verify the gcd of every emitted pair")
+    p.add_argument("--check", action="store_true",
+                   help="verify the gcd and degrees of every pair in each chunk before it is written "
+                        "(with --limit, the whole of the last chunk)")
     p.add_argument("--output", default="-", help="output path (default: stdout)")
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -116,23 +118,16 @@ def _open_out(path: str):
 
 
 def _checked(chunks: Iterable[bytes], n: int) -> Iterator[bytes]:
-    """The chunks of columns, each passed on once every pair in it is checked."""
-    for cols in chunks:
-        ints = lane_ints(cols, lane_bytes(n))
+    """The chunks of lanes, each passed on once every lane in it is checked:
+    a lane's twin line (g, f) has the same gcd and degrees as (f, g)."""
+    for lanes in chunks:
+        ints = lane_ints(lanes, lane_bytes(n))
         for f, g in zip(ints, ints[len(ints) >> 1:]):
             if gcd(f, g) != 1:
                 raise ValueError(f"check failed: gcd({f:#x}, {g:#x}) != 1")
             if degree(f) != n or degree(g) != n:
                 raise ValueError(f"check failed: ({f:#x}, {g:#x}) is not of degree {n}")
-        yield cols
-
-
-def _limited(chunks: Iterator[bytes], size: int) -> Iterator[bytes]:
-    """The chunks of columns cut to ``size`` bytes a column in all; none past the cut is made."""
-    while size > 0 and (cols := next(chunks, None)) is not None:
-        half = len(cols) >> 1
-        yield cols if half <= size else cols[:size] + cols[half:half + size]
-        size -= half
+        yield lanes
 
 
 def _write_lines(path: str, lines: Iterator[str]) -> None:
@@ -155,31 +150,41 @@ def _write_blocks(out: TextIO, blocks: Iterable[str], head: str = "", sep: str =
         out.write(tail)
 
 
-def _write_pairs(path: str, chunks: Iterable[bytes], fmt: str, n: int, total: int) -> None:
-    """Write ``chunks``, columns as ``pair_columns(n)`` yields them, as a
-    listing in ``fmt``.  A degree-n polynomial has n // 4 + 1 hex digits, so
-    each line is one template with two holes: two strided copies per digit
-    fill them."""
+def _write_pairs(path: str, chunks: Iterable[bytes], fmt: str, n: int, total: int,
+                 rows: tuple[tuple[int, int], ...]) -> None:
+    """Write the first ``total`` lines of ``chunks`` as a listing in ``fmt``;
+    no chunk is pulled once they are written.  A chunk is two columns of
+    lane_bytes(n)-byte little-endian ints, and its i-th value of each column
+    gives one line per row of ``rows``, which names the columns that the
+    line's f and g read.  A degree-n polynomial has n // 4 + 1 hex digits,
+    so the lines of one value are one template with two holes a row: two
+    strided copies per digit and row fill them."""
     head, line, sep, tail = {
         "text": ("", "0x%s 0x%s\n", "", ""),
         "csv": ("f,g\n", "0x%s,0x%s\n", "", ""),
         "json": ('{"degree": %d, "count": %d, "pairs": [' % (n, total), '{"f": "0x%s", "g": "0x%s"}', ", ", "]}\n"),
     }[fmt]
     size, digits = lane_bytes(n), n // 4 + 1
-    holes = line.index("%s") + digits - 1, line.rindex("%s") + 2 * digits - 3  # each number's last digit
+    lasts = line.index("%s") + digits - 1, line.rindex("%s") + 2 * digits - 3  # each number's last digit
     line = (line % ("0" * digits, "0" * digits) + sep).encode()
+    holes = [(r * len(line) + last, col) for r, row in enumerate(rows) for last, col in zip(lasts, row)]
+    unit = line * len(rows)
 
-    def text(cols: bytes) -> str:
-        hexed = binascii.hexlify(cols)
-        half = len(hexed) >> 1
-        out = bytearray(line * (half // (2 * size)))
-        for hole, col in zip(holes, (0, half)):
-            for j in range(digits):  # nibble j: the high one of byte j // 2 comes first
-                out[hole - j::len(line)] = hexed[col + (j ^ 1):col + half:2 * size]
-        return out.decode("ascii")[:len(out) - len(sep)]
+    def texts(chunks: Iterator[bytes], left: int) -> Iterator[str]:
+        while left > 0 and (cols := next(chunks, None)) is not None:
+            hexed = binascii.hexlify(cols)
+            half = len(hexed) >> 1
+            out = bytearray(unit * (half // (2 * size)))
+            for hole, col in holes:
+                for j in range(digits):  # nibble j: the high one of byte j // 2 comes first
+                    out[hole - j::len(unit)] = hexed[col * half + (j ^ 1):(col + 1) * half:2 * size]
+            lines = min(len(out) // len(line), left)
+            left -= lines
+            del out[lines * len(line) - len(sep):]
+            yield out.decode("ascii")
 
     with _open_out(path) as out:
-        _write_blocks(out, map(text, chunks), head, sep, tail)
+        _write_blocks(out, texts(iter(chunks), total), head, sep, tail)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -187,14 +192,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     limit = args.limit
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    total = count_pairs(n)
-    chunks = pair_columns(n)
-    if limit is not None:
-        total = min(total, limit)
-        chunks = _limited(chunks, limit * lane_bytes(n))
-    if args.check:
-        chunks = _checked(chunks, n)
-    _write_pairs(args.output, chunks, args.format, n, total)
+    total = count_pairs(n) if limit is None else min(count_pairs(n), limit)
+    chunks = _checked(pair_chunks(n), n) if args.check else pair_chunks(n)
+    _write_pairs(args.output, chunks, args.format, n, total, ((0, 1), (1, 0)))
     return 0
 
 
@@ -216,7 +216,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     size = lane_bytes(n)
     chunks = (b"".join(pair[x].to_bytes(size, "little") for x in (0, 1) for pair in pairs[i:i + FLUSH_EVERY])
               for i in range(0, len(pairs), FLUSH_EVERY))
-    _write_pairs(args.output, chunks, args.format, n, len(pairs))
+    _write_pairs(args.output, chunks, args.format, n, len(pairs), ((0, 1),))
     return 0
 
 

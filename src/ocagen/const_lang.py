@@ -90,7 +90,8 @@ def count_words(k: int) -> int:
 # ascending (lexicographic) order.  ``word_blocks`` cuts the words by their
 # closed-form count.  A block is a prefix and the state it reads to:
 # ``spell`` writes out its words, and the enumeration core lays out one
-# lane per ending-0 word, from that state's completions.
+# lane per ending-0 word and spells its suffixes from one list of that
+# state's completions.
 
 
 def count_completions(state: int, length: int) -> int:

@@ -22,10 +22,10 @@ record's generating triple is fixed by its position in the stream:
 provenance is read off the core's output, never replayed.
 
 ``enumerate_pairs`` is the full stream and ``pair_chunks`` the same
-stream one chunk at a time, as flat (f0, g0, f1, g1, ..) tuples;
+stream one chunk at a time, as the core's lane bytes: lane p holds f_p and
+g_p and stands for the two lines (f_p, g_p) and (g_p, f_p).
 ``pairs_for_composition`` is the independently consumable partition for
-one quotient degree sequence; ``pair_columns`` is the stream as the bytes
-a listing is written from.  A brute-force ``oracle_pairs`` (direct gcd
+one quotient degree sequence.  A brute-force ``oracle_pairs`` (direct gcd
 filtering) and the two exact counting forms are provided for verification.
 """
 
@@ -35,11 +35,10 @@ import sys
 from functools import lru_cache
 from itertools import chain, islice, product, repeat
 from math import comb
-from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .compositions import Composition, compositions
-from .const_lang import completions, count_words, is_valid_word, spell, word_blocks
+from .const_lang import completions, count_words, is_valid_word, word_blocks
 from .gf2poly import Poly, gcd, unit_polys
 
 ORACLE_DEGREE_LIMIT = 12
@@ -137,18 +136,12 @@ def enumerate_pairs(n: int, with_provenance: bool = False) -> Iterator[PairRecor
     return chain.from_iterable(pairs_for_composition(parts, with_provenance) for parts in _compositions(n))
 
 
-def pair_chunks(n: int) -> Iterator[tuple[Poly, ...]]:
-    """The pairs of ``enumerate_pairs(n)``, in the same order, one chunk at a
-    time, each chunk one flat tuple (f0, g0, f1, g1, ..) of at most
-    2·CHUNK_PAIRS polynomials, without building records."""
-    return (_pairs(parts, *chunk) for parts in _compositions(n) for chunk in _chunks(parts))
-
-
-def pair_columns(n: int) -> Iterator[bytearray]:
-    """The chunks of ``pair_chunks(n)`` as two columns X then Y of
-    lane_bytes(n)-byte little-endian ints, line i being (X_i, Y_i)."""
-    size = lane_bytes(n)
-    return (_columns(_lanes(parts, *chunk)[0], size) for parts in _compositions(n) for chunk in _chunks(parts))
+def pair_chunks(n: int) -> Iterator[bytes]:
+    """The pairs of ``enumerate_pairs(n)``, in the same order, one chunk of
+    at most CHUNK_PAIRS pairs at a time, as its lanes' bytes: the f's, then
+    the g's, each a lane_bytes(n)-byte little-endian int.  Lane p stands for
+    the chunk's lines 2p, (f_p, g_p), and 2p + 1, (g_p, f_p)."""
+    return (_lanes(parts, *chunk)[0] for parts in _compositions(n) for chunk in _chunks(parts))
 
 
 def _compositions(n: int) -> Iterator[Composition]:
@@ -173,8 +166,10 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
     return chain.from_iterable(
         map(tuple.__new__, repeat(PairRecord), zip(pairs, pairs, triples or repeat(None)))
         for mids, prefix, state in _chunks(parts)
-        for buf, twins, suffixes in [_lanes(parts, mids, prefix, state)]
-        for pairs in [iter(twins(lane_ints(buf, size)))]
+        for buf, suffixes in [_lanes(parts, mids, prefix, state)]
+        for ints in [lane_ints(buf, size)]
+        for f, g in [(ints[:len(ints) >> 1], ints[len(ints) >> 1:])]
+        for pairs in [chain.from_iterable(zip(f, g, g, f))]
         for triples in [with_provenance and product(
             (parts,), map(mids.__add__, _bit_strings(free - len(mids))),
             map(prefix.__add__, suffixes) if prefix else suffixes)]
@@ -196,7 +191,8 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
 # the hi-th setting of the unfixed bits with the j-th of the C ending-0
 # completions from that state: the lanes are the chunk's pairs without
 # their twins, in stream order.  A cap of at least 2 keeps the last symbol
-# out of the prefix.  The lanes come out as bytes, f's then g's.
+# out of the prefix.  The lanes come out as bytes, f's then g's, and every
+# reader takes them as they are: lane p is written as its two lines.
 
 CHUNK_PAIRS = 1 << 16
 
@@ -232,12 +228,12 @@ def _chunks(parts: Composition) -> Iterator[tuple[str, str, int]]:
 @lru_cache(maxsize=3)
 def _layout(state: int, depth: int, unfixed: int, size: int) -> tuple:
     """(ONES, the unfixed bits' lane masks, p_1's X^1 first, the suffix
-    symbols' but the last, the getter of (f, g, g, f) per lane, the suffixes
-    spelled).  At the real cap, all chunks of one k in a degree's stream
-    share ``unfixed`` and ``depth`` (every state has under 2^16 completions
-    of length 17 and over 2^16 of length 18), so they need at most one
-    layout per automaton state."""
-    leaves = completions(state, depth)[::2]
+    symbols' but the last, the suffixes spelled).  At the real cap, all
+    chunks of one k in a degree's stream share ``unfixed`` and ``depth``
+    (every state has under 2^16 completions of length 17 and over 2^16 of
+    length 18), so they need at most one layout per automaton state."""
+    words = completions(state, depth)
+    leaves = words[::2]
     lanes, off, on = len(leaves) << unfixed, bytes(size), b"\xff" * size
 
     def mask(period: bytes) -> int:
@@ -247,15 +243,14 @@ def _layout(state: int, depth: int, unfixed: int, size: int) -> tuple:
         mask(b"\1" + off[1:]),
         [mask(off * (lanes >> t) + on * (lanes >> t)) for t in range(1, unfixed + 1)],
         [mask(b"".join(on if leaf >> t & 1 else off for leaf in leaves)) for t in reversed(range(1, depth))],
-        itemgetter(*[i for p in range(lanes) for i in (p, lanes + p, lanes + p, p)]),
-        spell(depth, "", state),
+        [bin(1 << depth | w)[3:] for w in words],
     )
 
 
-def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> tuple[bytes, Callable, list[str]]:
-    """One chunk's lanes, f's then g's, as bytes, its pair getter and its suffixes."""
+def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> tuple[bytes, list[str]]:
+    """One chunk's lanes, f's then g's, as bytes, and its suffixes."""
     n, k, size = sum(parts), len(parts), lane_bytes(sum(parts))
-    ones, bits, symbols, twins, suffixes = _layout(state, k - len(prefix), n - k - len(mids), size)
+    ones, bits, symbols, suffixes = _layout(state, k - len(prefix), n - k - len(mids), size)
     # The lanes of each term: a fixed 1 is in every lane (-1), a fixed 0 in none.
     terms = iter([-1 if b == "1" else 0 for b in mids] + bits)
     consts = [-1 if s == "1" else 0 for s in prefix] + symbols + [0]
@@ -269,24 +264,7 @@ def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> tuple[byte
             P ^= A & c
         A, B = P, A
     width = (len(suffixes) >> 1 << (n - k - len(mids))) * size
-    return ((A ^ B) | A << (width << 3)).to_bytes(2 * width, "little"), twins, suffixes
-
-
-def _pairs(parts: Composition, mids: str, prefix: str, state: int) -> tuple[Poly, ...]:
-    """One chunk's pairs, in stream order, as one flat tuple (f0, g0, f1, g1, ..)."""
-    buf, twins, _ = _lanes(parts, mids, prefix, state)
-    return twins(lane_ints(buf, lane_bytes(sum(parts))))
-
-
-def _columns(buf: bytes, size: int) -> bytearray:
-    """Lanes f, g as columns X, Y: lane p gives lines 2p, (f, g), and 2p + 1, (g, f)."""
-    half, end, step = len(buf) >> 1, len(buf), size << 1
-    cols = bytearray(end << 1)
-    for b in range(size):
-        f, g = buf[b:half:size], buf[half + b::size]
-        cols[b:end:step] = cols[end + size + b::step] = f
-        cols[size + b:end:step] = cols[end + b::step] = g
-    return cols
+    return ((A ^ B) | A << (width << 3)).to_bytes(2 * width, "little"), suffixes
 
 
 def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:

@@ -5,7 +5,8 @@ import random
 import subprocess
 import sys
 import time
-from itertools import islice
+from bisect import bisect_left
+from itertools import accumulate, islice
 from pathlib import Path
 
 import pytest
@@ -17,14 +18,12 @@ from ocagen.enumeration import (
     CHUNK_PAIRS,
     ORACLE_DEGREE_LIMIT,
     count_pairs,
-    lane_bytes,
     pair_chunks,
-    pair_columns,
     pairs_for_composition,
 )
 from ocagen.gf2poly import gcd, parse_poly
 from ocagen.oca import SQUARE_DEGREE_LIMIT
-from test_enumeration import replay_pairs, seeded_chunks
+from test_enumeration import assert_same, chunk_pairs, lane_pairs, replay_pairs, seeded_chunks
 
 ABOVE_SQUARE_GUARD = hex((1 << (SQUARE_DEGREE_LIMIT + 1)) | 1)
 
@@ -102,28 +101,32 @@ def test_writer_output_pinned(argv, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == WRITER_SHA256[argv]
 
 
+# Each lane of a chunk is written as its two lines, (f, g) and (g, f).
+TWIN_ROWS = ((0, 1), (1, 0))
+
+
 class TestPairWriter:
-    # Every chunk of the stream, written from its columns, equals its ints
+    # Every chunk of the stream, written from its lanes, equals its ints
     # written by the reference writer, in every format.
 
     @pytest.mark.parametrize("cap", [3, 40])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_every_chunk_under_small_caps(self, n, cap, monkeypatch, capsys):
         monkeypatch.setattr(enumeration, "CHUNK_PAIRS", cap)
-        columns, chunks = list(pair_columns(n)), list(pair_chunks(n))
+        chunks = list(pair_chunks(n))
+        flats = [lane_pairs(buf, n) for buf in chunks]
         for fmt in PERCENT_FORMATS:
-            _write_pairs("-", columns, fmt, n, count_pairs(n))
-            assert capsys.readouterr().out == percent_listing(chunks, fmt, n, count_pairs(n))
+            _write_pairs("-", chunks, fmt, n, count_pairs(n), TWIN_ROWS)
+            assert_same(capsys.readouterr().out, percent_listing(flats, fmt, n, count_pairs(n)))
 
     @pytest.mark.parametrize("n", [20, 40, 64, 100])
     def test_seeded_chunks_at_every_lane_width(self, n, monkeypatch, capsys):
-        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", 256)  # keeps a failure's diff quick
+        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", 256)  # small chunks keep the test quick
         for chunk in seeded_chunks(n, random.Random(n)):
-            cols = enumeration._columns(enumeration._lanes(*chunk)[0], lane_bytes(n))
-            flat = enumeration._pairs(*chunk)
+            flat = chunk_pairs(*chunk)
             for fmt in PERCENT_FORMATS:
-                _write_pairs("-", [cols], fmt, n, len(flat) >> 1)
-                assert capsys.readouterr().out == percent_listing([flat], fmt, n, len(flat) >> 1)
+                _write_pairs("-", [enumeration._lanes(*chunk)[0]], fmt, n, len(flat) >> 1, TWIN_ROWS)
+                assert_same(capsys.readouterr().out, percent_listing([flat], fmt, n, len(flat) >> 1))
 
 
 class TestCount:
@@ -210,10 +213,11 @@ class TestEnumerate:
     def test_check_fails_inside_a_chunk(self, capsys, monkeypatch):
         # Each composition of 6 is one chunk; the pair made to fail sits
         # inside the second, so the first chunk is written and the rest is not.
+        # The check reads each lane once, as its even line (f, g).
         assert run(["enumerate", "--degree", "6"]) == 0
         unchecked = capsys.readouterr().out
         first = len(list(pairs_for_composition((1, 5))))
-        bad = next(islice(pairs_for_composition((2, 4)), 3, None))
+        bad = next(islice(pairs_for_composition((2, 4)), 2, None))
         monkeypatch.setattr("ocagen.cli.gcd", lambda f, g: 2 if (f, g) == bad[:2] else gcd(f, g))
         assert run(["enumerate", "--degree", "6", "--check"]) == 1
         captured = capsys.readouterr()
@@ -227,7 +231,47 @@ class TestEnumerate:
         assert 65536 == CHUNK_PAIRS < 70000
         assert run(["enumerate", "--degree", "20", "--limit", "70000", "--check"]) == 0
         expected = "".join("%#x %#x\n" % rec[:2] for rec in islice(replay_pairs((1, 19)), 70000))
-        assert capsys.readouterr().out == expected
+        assert_same(capsys.readouterr().out, expected)
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_every_limit_cuts_at_its_line(self, fmt, check, capsys, monkeypatch):
+        # At a cap of 3 the 170 pairs of degree 5 are 85 chunks of one lane,
+        # so every odd limit cuts a chunk between a line and its twin.  Each
+        # limit writes the full listing cut to that many lines and makes no
+        # chunk past the cut, with or without the check.
+        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", 3)
+        total = count_pairs(5)
+        argv = ["enumerate", "--degree", "5", "--format", fmt] + ["--check"] * check
+        assert run(argv) == 0
+        full = capsys.readouterr().out
+        lines = full.splitlines(keepends=True)
+        pairs = json.loads(full)["pairs"] if fmt == "json" else None
+        ends = list(accumulate(len(lane_pairs(buf, 5)) >> 1 for buf in pair_chunks(5)))
+        assert ends[-1] == total
+        made = []
+        lanes = enumeration._lanes
+        monkeypatch.setattr(enumeration, "_lanes", lambda *chunk: made.append(chunk) or lanes(*chunk))
+        for limit in range(total + 2):
+            made.clear()
+            assert run(argv + ["--limit", str(limit)]) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                doc = json.loads(out)
+                assert doc["count"] == min(limit, total)
+                assert doc["pairs"] == pairs[:limit]
+            else:
+                assert out == "".join(lines[:(fmt == "csv") + limit])
+            assert len(made) == bisect_left(ends, min(limit, total)) + (limit > 0)
+
+    def test_check_reads_one_gcd_per_lane(self, capsys, monkeypatch):
+        assert run(["enumerate", "--degree", "8"]) == 0
+        unchecked = capsys.readouterr().out
+        calls = []
+        monkeypatch.setattr("ocagen.cli.gcd", lambda f, g: calls.append(f) or gcd(f, g))
+        assert run(["enumerate", "--degree", "8", "--check"]) == 0
+        assert_same(capsys.readouterr().out, unchecked)
+        assert len(calls) == count_pairs(8) // 2
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "pairs.csv"

@@ -16,7 +16,7 @@ from ocagen.oca import (
     latin_square,
     rule_from_poly,
 )
-from test_enumeration import seeded_chunks
+from test_enumeration import chunk_pairs, seeded_chunks
 
 RULE_150 = LocalRule(3, 0b111)   # x0 ^ x1 ^ x2
 RULE_90 = LocalRule(3, 0b101)    # x0 ^ x2
@@ -136,7 +136,7 @@ def sampled_chunk_pairs(n, rng):
     the chunks stay cheap at any degree."""
     pairs = []
     for chunk in seeded_chunks(n, rng):
-        flat = enumeration._pairs(*chunk)
+        flat = chunk_pairs(*chunk)
         pairs += rng.sample(list(zip(flat[::2], flat[1::2])), 2)
     return pairs
 
