@@ -3,8 +3,8 @@
 Polynomials appear everywhere in the hex wire format "0x…" (bit i =
 coefficient of X^i).  Pair listings stream in the pinned deterministic
 order; counts are printed as exact decimal integers.  Exit codes: 0 on
-success, 1 on domain errors (bad polynomial, k > n, guarded sizes), 2 on
-usage errors.
+success, 1 on domain errors (bad polynomial, k > n, guarded sizes) or an
+output that cannot be written, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -145,7 +145,13 @@ def spell(k: int, prefix: str, state: int) -> list[str]:
     return [prefix + bin(top | w)[3:] for w in completions(state, k - len(prefix))]
 
 
-# Words per block of ``words_of_length``; it bounds that listing's memory.
+def block_cap(cap: int, length: int) -> int:
+    """``cap`` items of ``length`` below 64, halved for each doubling of
+    ``length`` past 63, down to 2: the items' total length stays below 64·cap."""
+    return max(2, cap >> (length >> 6).bit_length())
+
+
+# Words per block of ``words_of_length`` below 64 symbols; see block_cap.
 BLOCK_WORDS = 1 << 16
 
 
@@ -153,8 +159,8 @@ def words_of_length(k: int) -> Iterator[str]:
     """All valid words of length k, in lexicographic order (0 < 1).
 
     Emits exactly count_words(k) words, spelled out one block of
-    ``word_blocks`` at a time.
+    ``word_blocks`` at a time, of at most block_cap(BLOCK_WORDS, k) words.
     """
     if k < 0:
         raise ValueError("word length must be nonnegative")
-    return chain.from_iterable(spell(k, *block) for block in word_blocks(k, BLOCK_WORDS))
+    return chain.from_iterable(spell(k, *block) for block in word_blocks(k, block_cap(BLOCK_WORDS, k)))

@@ -11,8 +11,8 @@ trailing unit quotient is forced by the equal degrees), which dilcuE replays
 from the seed (1, 0) into the pair itself.  Every pair is produced exactly
 once; the stream is deterministically ordered: k ascending, then
 compositions, intermediate strings and constant words each in
-lexicographic order.  It is built in chunks of at most CHUNK_PAIRS pairs,
-so its memory is bounded at any degree.
+lexicographic order.  It is built in chunks of at most chunk_cap(n) pairs,
+so its memory is bounded in bytes at any degree.
 
 One lane-packed core generates every pair: it runs dilcuE once per chunk,
 for all of the chunk's valid words at once, as lanes of one int read out
@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import chain, islice, product, repeat
+from itertools import chain, combinations_with_replacement, islice, product, repeat
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .compositions import Composition, compositions
-from .const_lang import completions, count_words, is_valid_word, word_blocks
+from .const_lang import block_cap, completions, count_words, is_valid_word, word_blocks
 from .gf2poly import Poly, gcd, unit_polys
 
 ORACLE_DEGREE_LIMIT = 12
@@ -138,7 +138,7 @@ def enumerate_pairs(n: int, with_provenance: bool = False) -> Iterator[PairRecor
 
 def pair_chunks(n: int) -> Iterator[bytes]:
     """The pairs of ``enumerate_pairs(n)``, in the same order, one chunk of
-    at most CHUNK_PAIRS pairs at a time, as its lanes' bytes: the f's, then
+    at most chunk_cap(n) pairs at a time, as its lanes' bytes: the f's, then
     the g's, each a lane_bytes(n)-byte little-endian int.  Lane p stands for
     the chunk's lines 2p, (f_p, g_p), and 2p + 1, (g_p, f_p)."""
     return (_lanes(parts, *chunk)[0] for parts in _compositions(n) for chunk in _chunks(parts))
@@ -183,7 +183,7 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
 # (broadword, Knuth TAOCP 4A §7.1.3): a free bit or symbol adds A·X^pos
 # into the lanes that have it set, through its lane mask.  Every value has
 # degree at most n, below the lane width, so no lane carries into the next.
-# A slice is cut into chunks of at most CHUNK_PAIRS pairs by fixing leading
+# A slice is cut into chunks of at most chunk_cap(n) pairs by fixing leading
 # intermediate bits and, when the words alone are more, a word prefix: a
 # chunk is those bits and one (prefix, state) block of ``word_blocks``.  A
 # valid word ends in a free symbol, and the last step of dilcuE gives its
@@ -206,6 +206,12 @@ def lane_bytes(n: int) -> int:
     return next((size for size in _LANE_FORMATS if size << 3 > n), n // 8 + 1)
 
 
+def chunk_cap(n: int) -> int:
+    """Pairs per chunk of degree n: CHUNK_PAIRS, halved as lane_bytes(n)
+    doubles past 8, so a chunk's column holds at most CHUNK_PAIRS·4 bytes."""
+    return block_cap(CHUNK_PAIRS, n)
+
+
 def lane_ints(buf: bytes, size: int) -> list[int]:
     """The little-endian ints of ``size`` bytes each that fill ``buf``."""
     if size in _LANE_FORMATS and sys.byteorder == "little":
@@ -216,22 +222,22 @@ def lane_ints(buf: bytes, size: int) -> list[int]:
 def _chunks(parts: Composition) -> Iterator[tuple[str, str, int]]:
     """(fixed intermediate bits, word prefix, automaton state after it) of
     each chunk of the slice, in stream order."""
-    k = len(parts)
+    k, cap = len(parts), chunk_cap(sum(parts))
     free = sum(parts) - k
     words = count_words(k)
     fixed = free
-    while fixed and words << (free - fixed + 1) <= CHUNK_PAIRS:
+    while fixed and words << (free - fixed + 1) <= cap:
         fixed -= 1
-    return ((mids, *block) for mids in _bit_strings(fixed) for block in word_blocks(k, CHUNK_PAIRS))
+    return ((mids, *block) for mids in _bit_strings(fixed) for block in word_blocks(k, cap))
 
 
 @lru_cache(maxsize=3)
 def _layout(state: int, depth: int, unfixed: int, size: int) -> tuple:
     """(ONES, the unfixed bits' lane masks, p_1's X^1 first, the suffix
-    symbols' but the last, the suffixes spelled).  At the real cap, all
-    chunks of one k in a degree's stream share ``unfixed`` and ``depth``
-    (every state has under 2^16 completions of length 17 and over 2^16 of
-    length 18), so they need at most one layout per automaton state."""
+    symbols' but the last, the suffixes spelled).  At a cap of 2^m, m >= 3,
+    all chunks of one k in a degree's stream share ``unfixed`` and ``depth``
+    (every state has under 2^m completions of length m + 1 and over 2^m of
+    length m + 2), so they need at most one layout per automaton state."""
     words = completions(state, depth)
     leaves = words[::2]
     lanes, off, on = len(leaves) << unfixed, bytes(size), b"\xff" * size
@@ -268,11 +274,11 @@ def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> tuple[byte
 
 
 def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
-    """Brute-force reference: gcd-filter all ordered pairs of degree n with
-    unit constant terms.  The search space is 4^(n-1) gcd computations and
-    the result set holds count_pairs(n) tuples, so each degree costs about
-    four times the last in time and memory.  Guarded at degree
-    ORACLE_DEGREE_LIMIT.
+    """Brute-force reference: gcd-filter all pairs of degree n with unit
+    constant terms, each unordered pair once (gcd is symmetric), keeping
+    both orders: about 4^(n-1)/2 gcds and count_pairs(n) tuples, so each
+    degree costs about four times the last in time and memory.  Guarded at
+    degree ORACLE_DEGREE_LIMIT.
     """
     _check_degree(n)
     if n > ORACLE_DEGREE_LIMIT:
@@ -280,8 +286,8 @@ def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
             f"oracle degree {n} exceeds the guard {ORACLE_DEGREE_LIMIT}; "
             f"it would need {4 ** (n - 1):,} gcd computations"
         )
-    polys = list(unit_polys(n))
-    return {(f, g) for f in polys for g in polys if gcd(f, g) == 1}
+    pairs = combinations_with_replacement(unit_polys(n), 2)
+    return {pair for f, g in pairs if gcd(f, g) == 1 for pair in ((f, g), (g, f))}
 
 
 def _validate_parts(parts: Composition) -> None:

@@ -148,24 +148,14 @@ def format_poly(p: Poly, style: str = "hex") -> str:
     if style == "symbolic":
         if p == 0:
             return "0"
-        terms = []
-        for i in range(p.bit_length() - 1, -1, -1):
-            if (p >> i) & 1:
-                terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-        return "+".join(terms)
+        powers = (i for i in reversed(range(p.bit_length())) if p >> i & 1)
+        return "+".join("1" if i == 0 else "x" if i == 1 else f"x^{i}" for i in powers)
     raise ValueError(f"unknown style {style!r}; expected 'hex' or 'symbolic'")
 
 
 def unit_polys(n: int) -> Iterator[Poly]:
-    """All 2^(n-1) degree-n polynomials with constant term 1, ascending.
-
-    For n = 0 the single constant polynomial 1 is emitted.
-    """
+    """All 2^(n-1) degree-n polynomials with constant term 1, ascending:
+    the odd integers of bit length n + 1, so 1 alone for n = 0."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n == 0:
-        yield 1
-        return
-    top = (1 << n) | 1
-    for mid in range(1 << (n - 1)):
-        yield top | (mid << 1)
+    return iter(range(1 << n | 1, 2 << n, 2))

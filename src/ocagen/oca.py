@@ -23,7 +23,7 @@ square's rows qualify is decided once, when the square is built.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .gf2poly import Poly, constant_term, degree, mul
@@ -135,16 +135,11 @@ def latin_square(rule: LocalRule) -> LatinSquare:
 
 
 def is_latin(square: LatinSquare) -> bool:
-    """Whether every row and every column is a permutation of {0, .., N-1}."""
+    """Whether every row and every column is a permutation of {0, .., N-1}:
+    LatinSquare holds N lines of N entries in that range, so whether each
+    line's entries are distinct."""
     n = square.order
-    full = list(range(n))
-    for row in square.entries:
-        if sorted(row) != full:
-            return False
-    for col in zip(*square.entries):
-        if sorted(col) != full:
-            return False
-    return True
+    return all(len(set(line)) == n for line in chain(square.entries, zip(*square.entries)))
 
 
 def are_orthogonal(first: LatinSquare, second: LatinSquare) -> bool:
@@ -156,16 +151,17 @@ def are_orthogonal(first: LatinSquare, second: LatinSquare) -> bool:
     ``bytes.maketrans(row1, row2)`` is a table T_i with T_i[a] the entry of
     ``second`` there.  The pair (a, b) occurs iff some T_i[a] = b, so the
     squares are orthogonal iff for each a the N bytes T_i[a] cover 0..N-1,
-    i.e. deleting them from it with ``translate`` leaves nothing.  Other
-    squares, which can still be orthogonal (permute the cells of an
-    orthogonal pair), go through the set of superposed cells.
+    i.e. deleting them from it with ``translate`` leaves nothing; each a's
+    bytes are sliced only when reached, so the check stops at the first a
+    they miss.  Other squares, which can still be orthogonal (permute the
+    cells of an orthogonal pair), go through the set of superposed cells.
     """
     n = first.order
     if second.order != n:
         raise ValueError(f"orders differ: {n} vs {second.order}")
     if first._rows and second._rows:
         tables = b"".join(map(bytes.maketrans, first._rows, second._rows))
-        return not any(map(bytes(range(n)).translate, repeat(None), [tables[a::256] for a in range(n)]))
+        return not any(map(bytes(range(n)).translate, repeat(None), (tables[a::256] for a in range(n))))
     seen = set()
     add = seen.add
     for row1, row2 in zip(first.entries, second.entries):

@@ -409,6 +409,24 @@ class TestSquare:
         assert "error" in capsys.readouterr().err
 
 
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [["enumerate", "--degree", "3"], ["words", "--length", "4"]], ids=" ".join)
+    def test_unwritable_output(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        assert run(argv + ["--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+
+    def test_closed_reader_exits_0(self, monkeypatch):
+        def closed(*args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr("ocagen.cli._write_pairs", closed)
+        assert run(["enumerate", "--degree", "3"]) == 0
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

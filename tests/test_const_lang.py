@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ocagen import const_lang
 from ocagen.const_lang import (
     ACCEPT,
+    BLOCK_WORDS,
     INV,
     START,
     START_INDEX,
     STATES,
+    block_cap,
     completions,
     count_completions,
     count_words,
@@ -138,6 +141,29 @@ class TestWords:
         for k in range(18, 61):
             blocks = list(islice(word_blocks(k, 1 << 16), 500))
             assert {len(prefix) for prefix, _ in blocks} == {k - 17}
+
+    @pytest.mark.parametrize("m", range(3, 16))
+    def test_smaller_power_of_two_caps_share_one_depth(self, m):
+        # The same at the caps that wide lanes get: at a cap of 2^m, m >= 3,
+        # every state has under 2^m completions of length m + 1 and over 2^m
+        # of length m + 2, so a block of k >= m + 2 is an (m + 1)-symbol suffix.
+        for k in range(m + 2, m + 45):
+            blocks = list(islice(word_blocks(k, 1 << m), 500))
+            assert {len(prefix) for prefix, _ in blocks} == {k - m - 1}
+
+    def test_block_cap(self):
+        lengths = (0, 63, 64, 127, 128, 255, 256, 4000)
+        assert [block_cap(1 << 16, n) for n in lengths] == [1 << s for s in (16, 16, 15, 15, 14, 14, 13, 10)]
+        assert block_cap(1 << 16, 1 << 40) == 2
+
+    @pytest.mark.parametrize("k", [64, 66, 200, 4000])
+    def test_blocks_bounded_in_symbols(self, k, monkeypatch):
+        # A block of words_of_length holds fewer than BLOCK_WORDS·64 symbols
+        # at any length: the word cap halves as the words double past 63.
+        spelled = []
+        monkeypatch.setattr(const_lang, "spell", lambda *block: spelled.append(spell(*block)) or spelled[-1])
+        assert next(words_of_length(k)) == "0" * k
+        assert 0 < len(spelled[0]) * k < BLOCK_WORDS * 64
 
     def test_prefixes_past_the_recursion_limit(self):
         prefix, state = next(word_blocks(3000, 1 << 16))

@@ -86,7 +86,7 @@ def seeded_chunks(n, rng):
         parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
         mids = "".join(rng.choice("01") for _ in next(enumeration._chunks(parts))[0])
         prefix, state = "", START_INDEX
-        while count_completions(state, k - len(prefix)) > enumeration.CHUNK_PAIRS:
+        while count_completions(state, k - len(prefix)) > enumeration.chunk_cap(n):
             s = rng.choice([s for s in (0, 1) if count_completions(INV[state][s], k - len(prefix) - 1)])
             prefix, state = prefix + "01"[s], INV[state][s]
         yield parts, mids, prefix, state
@@ -212,7 +212,18 @@ class TestEnumerate:
             head = list(islice(pairs_for_composition(parts, True), 2000))
             assert_same(head, list(islice(replay_pairs(parts), 2000)))
             first = next(enumeration._chunks(parts))
-            assert 0 < len(chunk_pairs(parts, *first)) <= 2 * enumeration.CHUNK_PAIRS
+            assert 0 < len(chunk_pairs(parts, *first)) <= 2 * enumeration.chunk_cap(n)
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_chunks_bounded_in_bytes(self, n):
+        # At the real cap a chunk's column holds at most 2^18 lane bytes at
+        # any degree, as 8-byte lanes do: the cap halves as the lanes double.
+        assert enumeration.CHUNK_PAIRS == 1 << 16
+        assert all(enumeration.chunk_cap(m) // 2 * lane_bytes(m) <= 1 << 18 for m in range(1, 1 << 15))
+        chunk = next(pair_chunks(n))
+        assert 0 < len(chunk) >> 1 <= 1 << 18
+        head = list(islice(replay_pairs((1, n - 1)), 100))
+        assert lane_pairs(chunk, n)[:200] == tuple(chain.from_iterable(rec[:2] for rec in head))
 
     def test_blocks_from_every_state_at_the_real_cap(self, monkeypatch):
         # k = 19: the words alone exceed the cap, so each of the two

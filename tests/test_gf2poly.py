@@ -243,6 +243,11 @@ class TestUnitPolys:
         assert len(seen) == len(set(seen)) == 1 << (n - 1)
         assert all(degree(p) == n and constant_term(p) == 1 for p in seen)
 
+    @pytest.mark.parametrize("n", range(17))
+    def test_odd_integers_of_bit_length_n_plus_1(self, n):
+        assert list(unit_polys(n)) == [p for p in range(1 << n, 2 << n) if p & 1]
+
     def test_negative(self):
+        # raised at the call, before any value is asked for
         with pytest.raises(ValueError):
-            list(unit_polys(-1))
+            unit_polys(-1)

@@ -352,6 +352,8 @@ class TestChecks:
     def test_is_latin(self):
         assert is_latin(LatinSquare(2, ((0, 1), (1, 0))))
         assert not is_latin(LatinSquare(2, ((0, 0), (1, 1))))
+        # rows that are permutations, columns that are not
+        assert not is_latin(LatinSquare(2, ((0, 1), (0, 1))))
         assert is_latin(latin_square(RULE_150))
 
     def test_shape_validated(self):
