@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .compositions import compositions, count_compositions
 from .const_lang import count_words, words_of_length
-from .enumeration import count_pairs, count_pairs_sum, lane_bytes, lane_ints, oracle_pairs, pair_chunks
+from .enumeration import count_pairs, count_pairs_sum, lane_bytes, lane_columns, oracle_pairs, pair_chunks
 from .euclid import euclid_trace
 from .gf2poly import constant_term, degree, format_poly, gcd, parse_poly
 from .oca import are_orthogonal, latin_square, rule_from_poly
@@ -121,8 +121,7 @@ def _checked(chunks: Iterable[bytes], n: int) -> Iterator[bytes]:
     """The chunks of lanes, each passed on once every lane in it is checked:
     a lane's twin line (g, f) has the same gcd and degrees as (f, g)."""
     for lanes in chunks:
-        ints = lane_ints(lanes, lane_bytes(n))
-        for f, g in zip(ints, ints[len(ints) >> 1:]):
+        for f, g in zip(*lane_columns(lanes, n)):
             if gcd(f, g) != 1:
                 raise ValueError(f"check failed: gcd({f:#x}, {g:#x}) != 1")
             if degree(f) != n or degree(g) != n:

@@ -89,9 +89,8 @@ def count_words(k: int) -> int:
 # state it reads to, so with the first symbol highest they come out in
 # ascending (lexicographic) order.  ``word_blocks`` cuts the words by their
 # closed-form count.  A block is a prefix and the state it reads to:
-# ``spell`` writes out its words, and the enumeration core lays out one
-# lane per ending-0 word and spells its suffixes from one list of that
-# state's completions.
+# ``spell`` writes out its words, the package's only speller, and the
+# enumeration core lays out one lane per ending-0 completion of its state.
 
 
 def count_completions(state: int, length: int) -> int:
@@ -128,15 +127,18 @@ def word_blocks(k: int, cap: int) -> Iterator[tuple[str, int]]:
     has length k.
     """
     # Depth first on an explicit stack, the 0-extension on top: a prefix can
-    # be longer than Python's recursion limit.
-    stack = [("", START_INDEX)]
+    # be longer than Python's recursion limit.  A pending extension is (length,
+    # last symbol, state) over one shared ``prefix``, so memory is linear in k.
+    prefix: list[str] = []
+    stack = [(0, "", START_INDEX)]
     while stack:
-        prefix, state = stack.pop()
-        count = count_completions(state, k - len(prefix))
+        length, symbol, state = stack.pop()
+        prefix[length - 1:] = symbol  # the root (0, "") pops on an empty list
+        count = count_completions(state, k - length)
         if count > cap:
-            stack += [(prefix + "1", INV[state][1]), (prefix + "0", INV[state][0])]
+            stack += [(length + 1, "1", INV[state][1]), (length + 1, "0", INV[state][0])]
         elif count:
-            yield prefix, state
+            yield "".join(prefix), state
 
 
 def spell(k: int, prefix: str, state: int) -> list[str]:
@@ -145,22 +147,22 @@ def spell(k: int, prefix: str, state: int) -> list[str]:
     return [prefix + bin(top | w)[3:] for w in completions(state, k - len(prefix))]
 
 
-def block_cap(cap: int, length: int) -> int:
-    """``cap`` items of ``length`` below 64, halved for each doubling of
-    ``length`` past 63, down to 2: the items' total length stays below 64·cap."""
-    return max(2, cap >> (length >> 6).bit_length())
+# Items per block below 64 bits, for chunks of pairs and word listings alike.
+BLOCK_CAP = 1 << 16
 
 
-# Words per block of ``words_of_length`` below 64 symbols; see block_cap.
-BLOCK_WORDS = 1 << 16
+def block_cap(length: int) -> int:
+    """BLOCK_CAP items of ``length`` bits or symbols below 64, halved for each
+    doubling of ``length`` past 63, down to 2: a block totals < 64·BLOCK_CAP."""
+    return max(2, BLOCK_CAP >> (length >> 6).bit_length())
 
 
 def words_of_length(k: int) -> Iterator[str]:
     """All valid words of length k, in lexicographic order (0 < 1).
 
     Emits exactly count_words(k) words, spelled out one block of
-    ``word_blocks`` at a time, of at most block_cap(BLOCK_WORDS, k) words.
+    ``word_blocks`` at a time, of at most block_cap(k) words.
     """
     if k < 0:
         raise ValueError("word length must be nonnegative")
-    return chain.from_iterable(spell(k, *block) for block in word_blocks(k, block_cap(BLOCK_WORDS, k)))
+    return chain.from_iterable(spell(k, *block) for block in word_blocks(k, block_cap(k)))

@@ -11,7 +11,7 @@ trailing unit quotient is forced by the equal degrees), which dilcuE replays
 from the seed (1, 0) into the pair itself.  Every pair is produced exactly
 once; the stream is deterministically ordered: k ascending, then
 compositions, intermediate strings and constant words each in
-lexicographic order.  It is built in chunks of at most chunk_cap(n) pairs,
+lexicographic order.  It is built in chunks of at most block_cap(n) pairs,
 so its memory is bounded in bytes at any degree.
 
 One lane-packed core generates every pair: it runs dilcuE once per chunk,
@@ -38,7 +38,7 @@ from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .compositions import Composition, compositions
-from .const_lang import block_cap, completions, count_words, is_valid_word, word_blocks
+from .const_lang import block_cap, completions, count_words, is_valid_word, spell, word_blocks
 from .gf2poly import Poly, gcd, unit_polys
 
 ORACLE_DEGREE_LIMIT = 12
@@ -138,10 +138,10 @@ def enumerate_pairs(n: int, with_provenance: bool = False) -> Iterator[PairRecor
 
 def pair_chunks(n: int) -> Iterator[bytes]:
     """The pairs of ``enumerate_pairs(n)``, in the same order, one chunk of
-    at most chunk_cap(n) pairs at a time, as its lanes' bytes: the f's, then
+    at most block_cap(n) pairs at a time, as its lanes' bytes: the f's, then
     the g's, each a lane_bytes(n)-byte little-endian int.  Lane p stands for
     the chunk's lines 2p, (f_p, g_p), and 2p + 1, (g_p, f_p)."""
-    return (_lanes(parts, *chunk)[0] for parts in _compositions(n) for chunk in _chunks(parts))
+    return (_lanes(parts, *chunk) for parts in _compositions(n) for chunk in _chunks(parts))
 
 
 def _compositions(n: int) -> Iterator[Composition]:
@@ -162,17 +162,14 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
         raise ValueError("quotient degree sequences have at least two parts")
     # Records are built in C.  A chunk's triples are its intermediate strings,
     # counting up from the fixed bits, times its block's words.
-    free, size = sum(parts) - len(parts), lane_bytes(sum(parts))
+    n, k = sum(parts), len(parts)
     return chain.from_iterable(
         map(tuple.__new__, repeat(PairRecord), zip(pairs, pairs, triples or repeat(None)))
         for mids, prefix, state in _chunks(parts)
-        for buf, suffixes in [_lanes(parts, mids, prefix, state)]
-        for ints in [lane_ints(buf, size)]
-        for f, g in [(ints[:len(ints) >> 1], ints[len(ints) >> 1:])]
+        for f, g in [lane_columns(_lanes(parts, mids, prefix, state), n)]
         for pairs in [chain.from_iterable(zip(f, g, g, f))]
         for triples in [with_provenance and product(
-            (parts,), map(mids.__add__, _bit_strings(free - len(mids))),
-            map(prefix.__add__, suffixes) if prefix else suffixes)]
+            (parts,), map(mids.__add__, _bit_strings(n - k - len(mids))), spell(k, prefix, state))]
     )
 
 
@@ -183,7 +180,7 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
 # (broadword, Knuth TAOCP 4A §7.1.3): a free bit or symbol adds A·X^pos
 # into the lanes that have it set, through its lane mask.  Every value has
 # degree at most n, below the lane width, so no lane carries into the next.
-# A slice is cut into chunks of at most chunk_cap(n) pairs by fixing leading
+# A slice is cut into chunks of at most block_cap(n) pairs by fixing leading
 # intermediate bits and, when the words alone are more, a word prefix: a
 # chunk is those bits and one (prefix, state) block of ``word_blocks``.  A
 # valid word ends in a free symbol, and the last step of dilcuE gives its
@@ -193,8 +190,6 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
 # their twins, in stream order.  A cap of at least 2 keeps the last symbol
 # out of the prefix.  The lanes come out as bytes, f's then g's, and every
 # reader takes them as they are: lane p is written as its two lines.
-
-CHUNK_PAIRS = 1 << 16
 
 # Lane sizes in bytes that a memoryview reads natively (little-endian hosts).
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -206,23 +201,20 @@ def lane_bytes(n: int) -> int:
     return next((size for size in _LANE_FORMATS if size << 3 > n), n // 8 + 1)
 
 
-def chunk_cap(n: int) -> int:
-    """Pairs per chunk of degree n: CHUNK_PAIRS, halved as lane_bytes(n)
-    doubles past 8, so a chunk's column holds at most CHUNK_PAIRS·4 bytes."""
-    return block_cap(CHUNK_PAIRS, n)
-
-
-def lane_ints(buf: bytes, size: int) -> list[int]:
-    """The little-endian ints of ``size`` bytes each that fill ``buf``."""
+def lane_columns(buf: bytes, n: int) -> tuple[list[int], list[int]]:
+    """The f's and the g's of a degree-n chunk's lane bytes, as ints."""
+    size = lane_bytes(n)
     if size in _LANE_FORMATS and sys.byteorder == "little":
-        return memoryview(buf).cast(_LANE_FORMATS[size]).tolist()
-    return [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
+        ints = memoryview(buf).cast(_LANE_FORMATS[size]).tolist()
+    else:
+        ints = [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
+    return ints[:len(ints) >> 1], ints[len(ints) >> 1:]
 
 
 def _chunks(parts: Composition) -> Iterator[tuple[str, str, int]]:
     """(fixed intermediate bits, word prefix, automaton state after it) of
     each chunk of the slice, in stream order."""
-    k, cap = len(parts), chunk_cap(sum(parts))
+    k, cap = len(parts), block_cap(sum(parts))
     free = sum(parts) - k
     words = count_words(k)
     fixed = free
@@ -234,12 +226,11 @@ def _chunks(parts: Composition) -> Iterator[tuple[str, str, int]]:
 @lru_cache(maxsize=3)
 def _layout(state: int, depth: int, unfixed: int, size: int) -> tuple:
     """(ONES, the unfixed bits' lane masks, p_1's X^1 first, the suffix
-    symbols' but the last, the suffixes spelled).  At a cap of 2^m, m >= 3,
+    symbols' but the last, the number of lanes).  At a cap of 2^m, m >= 3,
     all chunks of one k in a degree's stream share ``unfixed`` and ``depth``
     (every state has under 2^m completions of length m + 1 and over 2^m of
     length m + 2), so they need at most one layout per automaton state."""
-    words = completions(state, depth)
-    leaves = words[::2]
+    leaves = completions(state, depth)[::2]
     lanes, off, on = len(leaves) << unfixed, bytes(size), b"\xff" * size
 
     def mask(period: bytes) -> int:
@@ -249,14 +240,14 @@ def _layout(state: int, depth: int, unfixed: int, size: int) -> tuple:
         mask(b"\1" + off[1:]),
         [mask(off * (lanes >> t) + on * (lanes >> t)) for t in range(1, unfixed + 1)],
         [mask(b"".join(on if leaf >> t & 1 else off for leaf in leaves)) for t in reversed(range(1, depth))],
-        [bin(1 << depth | w)[3:] for w in words],
+        lanes,
     )
 
 
-def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> tuple[bytes, list[str]]:
-    """One chunk's lanes, f's then g's, as bytes, and its suffixes."""
+def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> bytes:
+    """One chunk's lanes, f's then g's, as bytes."""
     n, k, size = sum(parts), len(parts), lane_bytes(sum(parts))
-    ones, bits, symbols, suffixes = _layout(state, k - len(prefix), n - k - len(mids), size)
+    ones, bits, symbols, lanes = _layout(state, k - len(prefix), n - k - len(mids), size)
     # The lanes of each term: a fixed 1 is in every lane (-1), a fixed 0 in none.
     terms = iter([-1 if b == "1" else 0 for b in mids] + bits)
     consts = [-1 if s == "1" else 0 for s in prefix] + symbols + [0]
@@ -269,8 +260,8 @@ def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> tuple[byte
         if c:
             P ^= A & c
         A, B = P, A
-    width = (len(suffixes) >> 1 << (n - k - len(mids))) * size
-    return ((A ^ B) | A << (width << 3)).to_bytes(2 * width, "little"), suffixes
+    width = lanes * size
+    return ((A ^ B) | A << (width << 3)).to_bytes(2 * width, "little")
 
 
 def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
@@ -284,7 +275,7 @@ def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
     if n > ORACLE_DEGREE_LIMIT:
         raise ValueError(
             f"oracle degree {n} exceeds the guard {ORACLE_DEGREE_LIMIT}; "
-            f"it would need {4 ** (n - 1):,} gcd computations"
+            f"it would need {(1 << (n - 2)) * ((1 << (n - 1)) + 1):,} gcd computations"
         )
     pairs = combinations_with_replacement(unit_polys(n), 2)
     return {pair for f, g in pairs if gcd(f, g) == 1 for pair in ((f, g), (g, f))}

@@ -12,10 +12,9 @@ from pathlib import Path
 import pytest
 
 import ocagen
-from ocagen import enumeration
+from ocagen import const_lang, enumeration
 from ocagen.cli import _write_pairs, run
 from ocagen.enumeration import (
-    CHUNK_PAIRS,
     ORACLE_DEGREE_LIMIT,
     count_pairs,
     pair_chunks,
@@ -112,7 +111,7 @@ class TestPairWriter:
     @pytest.mark.parametrize("cap", [3, 40])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_every_chunk_under_small_caps(self, n, cap, monkeypatch, capsys):
-        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", cap)
+        monkeypatch.setattr(const_lang, "BLOCK_CAP", cap)
         chunks = list(pair_chunks(n))
         flats = [lane_pairs(buf, n) for buf in chunks]
         for fmt in PERCENT_FORMATS:
@@ -121,11 +120,11 @@ class TestPairWriter:
 
     @pytest.mark.parametrize("n", [20, 40, 64, 100])
     def test_seeded_chunks_at_every_lane_width(self, n, monkeypatch, capsys):
-        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", 256)  # small chunks keep the test quick
+        monkeypatch.setattr(const_lang, "BLOCK_CAP", 256)  # small chunks keep the test quick
         for chunk in seeded_chunks(n, random.Random(n)):
             flat = chunk_pairs(*chunk)
             for fmt in PERCENT_FORMATS:
-                _write_pairs("-", [enumeration._lanes(*chunk)[0]], fmt, n, len(flat) >> 1, TWIN_ROWS)
+                _write_pairs("-", [enumeration._lanes(*chunk)], fmt, n, len(flat) >> 1, TWIN_ROWS)
                 assert_same(capsys.readouterr().out, percent_listing([flat], fmt, n, len(flat) >> 1))
 
 
@@ -228,7 +227,7 @@ class TestEnumerate:
 
     def test_checked_limit_crosses_a_chunk(self, capsys):
         # (1, 19) leads the degree-20 stream and is 8 chunks at the real cap.
-        assert 65536 == CHUNK_PAIRS < 70000
+        assert 65536 == const_lang.BLOCK_CAP < 70000
         assert run(["enumerate", "--degree", "20", "--limit", "70000", "--check"]) == 0
         expected = "".join("%#x %#x\n" % rec[:2] for rec in islice(replay_pairs((1, 19)), 70000))
         assert_same(capsys.readouterr().out, expected)
@@ -240,7 +239,7 @@ class TestEnumerate:
         # so every odd limit cuts a chunk between a line and its twin.  Each
         # limit writes the full listing cut to that many lines and makes no
         # chunk past the cut, with or without the check.
-        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", 3)
+        monkeypatch.setattr(const_lang, "BLOCK_CAP", 3)
         total = count_pairs(5)
         argv = ["enumerate", "--degree", "5", "--format", fmt] + ["--check"] * check
         assert run(argv) == 0
@@ -294,6 +293,13 @@ class TestOracle:
         assert "guard" in capsys.readouterr().err
         assert run(["oracle", "--degree", "17"]) == 1
         assert "guard" in capsys.readouterr().err
+
+    def test_guard_states_the_gcds_it_would_run(self, capsys):
+        assert run(["oracle", "--degree", "13"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: oracle degree 13 exceeds the guard 12; it would need 8,390,656 gcd computations"]
 
 
 class TestVerify:

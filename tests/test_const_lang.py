@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from ocagen import const_lang
 from ocagen.const_lang import (
     ACCEPT,
-    BLOCK_WORDS,
+    BLOCK_CAP,
     INV,
     START,
     START_INDEX,
@@ -153,17 +157,34 @@ class TestWords:
 
     def test_block_cap(self):
         lengths = (0, 63, 64, 127, 128, 255, 256, 4000)
-        assert [block_cap(1 << 16, n) for n in lengths] == [1 << s for s in (16, 16, 15, 15, 14, 14, 13, 10)]
-        assert block_cap(1 << 16, 1 << 40) == 2
+        assert [block_cap(n) for n in lengths] == [1 << s for s in (16, 16, 15, 15, 14, 14, 13, 10)]
+        assert block_cap(1 << 40) == 2
 
     @pytest.mark.parametrize("k", [64, 66, 200, 4000])
     def test_blocks_bounded_in_symbols(self, k, monkeypatch):
-        # A block of words_of_length holds fewer than BLOCK_WORDS·64 symbols
+        # A block of words_of_length holds fewer than BLOCK_CAP·64 symbols
         # at any length: the word cap halves as the words double past 63.
         spelled = []
         monkeypatch.setattr(const_lang, "spell", lambda *block: spelled.append(spell(*block)) or spelled[-1])
         assert next(words_of_length(k)) == "0" * k
-        assert 0 < len(spelled[0]) * k < BLOCK_WORDS * 64
+        assert 0 < len(spelled[0]) * k < BLOCK_CAP * 64
+
+    def test_first_block_in_linear_memory(self):
+        # Reaching the first block keeps one prefix, not a prefix per pending
+        # extension: about 150 MiB at this length when each was a string.  A
+        # process takes its parent's peak RSS into its own ru_maxrss when it
+        # starts, so a fresh interpreter starts the measured child and reads
+        # the child's peak back as RUSAGE_CHILDREN, clear of the test run's.
+        src = str(Path(const_lang.__file__).resolve().parents[1])
+        child = "from ocagen.const_lang import words_of_length; assert next(words_of_length(16000)) == '0' * 16000"
+        code = ("import resource, subprocess, sys; "
+                f"subprocess.run([sys.executable, '-c', {child!r}], check=True); "
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        peak = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss is KiB on Linux
+        assert peak < 64 << 20
 
     def test_prefixes_past_the_recursion_limit(self):
         prefix, state = next(word_blocks(3000, 1 << 16))

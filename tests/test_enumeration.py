@@ -1,12 +1,13 @@
 import hashlib
 import random
 from itertools import chain, islice
+from math import comb
 
 import pytest
 
-from ocagen import enumeration
+from ocagen import const_lang, enumeration
 from ocagen.compositions import compositions
-from ocagen.const_lang import INV, START_INDEX, completions, count_completions, spell, words_of_length
+from ocagen.const_lang import INV, START_INDEX, block_cap, completions, count_completions, spell, words_of_length
 from ocagen.enumeration import (
     ORACLE_DEGREE_LIMIT,
     PairRecord,
@@ -16,7 +17,7 @@ from ocagen.enumeration import (
     enumerate_pairs,
     intermediate_sequences,
     lane_bytes,
-    lane_ints,
+    lane_columns,
     oracle_pairs,
     pair_chunks,
     pairs_for_composition,
@@ -65,14 +66,13 @@ def lane_pairs(buf, n):
     """The pairs of one chunk of degree-n lanes, as a flat tuple
     (f0, g0, f1, g1, ..): lane p, holding f_p and g_p, gives the lines
     (f_p, g_p) and (g_p, f_p)."""
-    ints = lane_ints(buf, lane_bytes(n))
-    f, g = ints[:len(ints) >> 1], ints[len(ints) >> 1:]
+    f, g = lane_columns(buf, n)
     return tuple(chain.from_iterable(zip(f, g, g, f)))
 
 
 def chunk_pairs(parts, mids, prefix, state):
     """One chunk's pairs, in stream order, as a flat tuple (f0, g0, f1, g1, ..)."""
-    return lane_pairs(enumeration._lanes(parts, mids, prefix, state)[0], sum(parts))
+    return lane_pairs(enumeration._lanes(parts, mids, prefix, state), sum(parts))
 
 
 def seeded_chunks(n, rng):
@@ -86,7 +86,7 @@ def seeded_chunks(n, rng):
         parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
         mids = "".join(rng.choice("01") for _ in next(enumeration._chunks(parts))[0])
         prefix, state = "", START_INDEX
-        while count_completions(state, k - len(prefix)) > enumeration.chunk_cap(n):
+        while count_completions(state, k - len(prefix)) > block_cap(n):
             s = rng.choice([s for s in (0, 1) if count_completions(INV[state][s], k - len(prefix) - 1)])
             prefix, state = prefix + "01"[s], INV[state][s]
         yield parts, mids, prefix, state
@@ -188,7 +188,7 @@ class TestEnumerate:
         # The cap is 2^16, which no slice reaches below degree 18.  A small
         # cap splits the slices at fixed intermediate bits (40) and, as soon
         # as the words alone exceed it, at word prefixes too (3).
-        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", cap)
+        monkeypatch.setattr(const_lang, "BLOCK_CAP", cap)
         for k in range(2, n + 1):
             for parts in compositions(n, k):
                 assert list(pairs_for_composition(parts, True)) == list(replay_pairs(parts))
@@ -212,14 +212,14 @@ class TestEnumerate:
             head = list(islice(pairs_for_composition(parts, True), 2000))
             assert_same(head, list(islice(replay_pairs(parts), 2000)))
             first = next(enumeration._chunks(parts))
-            assert 0 < len(chunk_pairs(parts, *first)) <= 2 * enumeration.chunk_cap(n)
+            assert 0 < len(chunk_pairs(parts, *first)) <= 2 * block_cap(n)
 
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_chunks_bounded_in_bytes(self, n):
         # At the real cap a chunk's column holds at most 2^18 lane bytes at
         # any degree, as 8-byte lanes do: the cap halves as the lanes double.
-        assert enumeration.CHUNK_PAIRS == 1 << 16
-        assert all(enumeration.chunk_cap(m) // 2 * lane_bytes(m) <= 1 << 18 for m in range(1, 1 << 15))
+        assert const_lang.BLOCK_CAP == 1 << 16
+        assert all(block_cap(m) // 2 * lane_bytes(m) <= 1 << 18 for m in range(1, 1 << 15))
         chunk = next(pair_chunks(n))
         assert 0 < len(chunk) >> 1 <= 1 << 18
         head = list(islice(replay_pairs((1, n - 1)), 100))
@@ -247,7 +247,7 @@ class TestEnumerate:
         assert {state for _, _, state in chunks} == {0, 1, 2}
         for mids, prefix, state in chunks:
             words = spell(k, prefix, state)
-            assert 0 < len(words) <= enumeration.CHUNK_PAIRS
+            assert 0 < len(words) <= const_lang.BLOCK_CAP
             head = list(islice(records, 300))
             assert head == [replay_record(parts, mids, word) for word in words[:300]]
             tail = list(islice(records, len(words) - 301, len(words) - 300))
@@ -283,6 +283,20 @@ class TestEnumerate:
             pairs_for_composition((4,))
 
 
+class TestLaneColumns:
+    @pytest.mark.parametrize("n, size", [(7, 1), (15, 2), (31, 4), (63, 8), (64, 9)])
+    @pytest.mark.parametrize("byteorder", ["little", "big"])
+    def test_every_lane_width(self, n, size, byteorder, monkeypatch):
+        # The memoryview path at 1, 2, 4 and 8 bytes and the generic one at
+        # 9 (and at every width on a big-endian host) against int.from_bytes
+        # per lane: the first half of the lanes are the f's, the rest the g's.
+        monkeypatch.setattr(enumeration.sys, "byteorder", byteorder)
+        assert lane_bytes(n) == size
+        buf = random.Random(n).randbytes(2 * 37 * size)
+        ints = [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
+        assert lane_columns(buf, n) == (ints[:37], ints[37:])
+
+
 class TestOracle:
     def test_examples(self):
         assert oracle_pairs(1) == set()
@@ -294,6 +308,12 @@ class TestOracle:
             oracle_pairs(ORACLE_DEGREE_LIMIT + 1)
         with pytest.raises(ValueError):
             oracle_pairs(0)
+
+    def test_guard_states_the_gcds_it_would_run(self):
+        # One gcd per unordered pair of the 2^12 unit polynomials of degree 13.
+        assert (1 << 11) * ((1 << 12) + 1) == comb(1 << 12, 2) + (1 << 12) == 8_390_656
+        with pytest.raises(ValueError, match="it would need 8,390,656 gcd computations$"):
+            oracle_pairs(13)
 
 
 class TestCounts:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ocagen import enumeration
+from ocagen import const_lang
 from ocagen.gf2poly import gcd, mul, unit_polys
 from ocagen.oca import (
     SQUARE_DEGREE_LIMIT,
@@ -132,7 +132,7 @@ def superposed_rank(f, g):
 
 def sampled_chunk_pairs(n, rng):
     """Two seeded pairs of each chunk of ``seeded_chunks(n, rng)``, as the
-    enumeration core makes them.  Call with CHUNK_PAIRS patched small, so
+    enumeration core makes them.  Call with BLOCK_CAP patched small, so
     the chunks stay cheap at any degree."""
     pairs = []
     for chunk in seeded_chunks(n, rng):
@@ -505,7 +505,7 @@ class TestSuperposedRank:
     def test_beyond_exhaustive_reach(self, n, monkeypatch):
         # Enumerated pairs are full rank; a shared factor h of degree dh
         # leaves rank at most 2n - dh.
-        monkeypatch.setattr(enumeration, "CHUNK_PAIRS", 64)
+        monkeypatch.setattr(const_lang, "BLOCK_CAP", 64)
         rng = random.Random(n)
         for f, g in sampled_chunk_pairs(n, rng):
             assert f.bit_length() == g.bit_length() == n + 1
