@@ -2,9 +2,12 @@
 
 Polynomials appear everywhere in the hex wire format "0x…" (bit i =
 coefficient of X^i).  Pair listings stream in the pinned deterministic
-order; counts are printed as exact decimal integers.  Exit codes: 0 on
-success, 1 on domain errors (bad polynomial, k > n, guarded sizes) or an
-output that cannot be written, 2 on usage errors.
+order; counts are printed as exact decimal integers.  Each subcommand's
+handler checks its arguments and returns its output as an iterable of text
+blocks; ``run`` alone opens the output and writes each block with one
+write and one flush.  Exit codes: 0 on success, 1 on domain errors (bad
+polynomial, k > n, guarded sizes) or an output that cannot be written, 2
+on usage errors.
 """
 
 from __future__ import annotations
@@ -13,18 +16,16 @@ import argparse
 import binascii
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from itertools import islice
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .compositions import compositions, count_compositions
-from .const_lang import count_words, words_of_length
+from .const_lang import block_cap, count_words, words_of_length
 from .enumeration import count_pairs, count_pairs_sum, lane_bytes, lane_columns, oracle_pairs, pair_chunks
 from .euclid import euclid_trace
 from .gf2poly import constant_term, degree, format_poly, gcd, parse_poly
 from .oca import are_orthogonal, latin_square, rule_from_poly
-
-FLUSH_EVERY = 1024  # lines per block of a words, compositions or oracle listing
 
 
 def main() -> None:
@@ -32,7 +33,8 @@ def main() -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments, dispatch one subcommand, and return the exit code."""
+    """Parse arguments, run one subcommand, write its text blocks to the
+    output, and return the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -40,7 +42,12 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        blocks = args.handler(args)  # argument and guard errors come before the output is opened
+        with nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w", encoding="utf-8") as out:
+            for block in blocks:
+                out.write(block)
+                out.flush()
+        return 0
     except BrokenPipeError:
         return 0
     except (OSError, ValueError, ZeroDivisionError) as exc:
@@ -55,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(equivalently: coprime equal-degree polynomial pairs over GF(2) "
                     "with unit constant terms).",
     )
+    parser.set_defaults(output="-")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream all pairs of one degree")
@@ -108,15 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
 def _checked(chunks: Iterable[bytes], n: int) -> Iterator[bytes]:
     """The chunks of lanes, each passed on once every lane in it is checked:
     a lane's twin line (g, f) has the same gcd and degrees as (f, g)."""
@@ -129,97 +128,84 @@ def _checked(chunks: Iterable[bytes], n: int) -> Iterator[bytes]:
         yield lanes
 
 
-def _write_lines(path: str, lines: Iterator[str]) -> None:
-    """Write the lines in blocks of at most FLUSH_EVERY lines."""
-    with _open_out(path) as out:
-        _write_blocks(out, iter(lambda: "".join(islice(lines, FLUSH_EVERY)), ""))
+def _lines(lines: Iterator[str], cap: int) -> Iterator[str]:
+    """The lines joined in blocks of at most ``cap`` lines."""
+    return iter(lambda: "".join(islice(lines, cap)), "")
 
 
-def _write_blocks(out: TextIO, blocks: Iterable[str], head: str = "", sep: str = "", tail: str = "") -> None:
-    """Write ``head``, the blocks joined by ``sep``, then ``tail``: one write
-    and one flush per block."""
-    lead = head
-    for block in blocks:
-        out.write(lead + block)
-        out.flush()
-        lead = sep
-    if lead != sep:  # no block was written, so neither was the head
-        tail = head + tail
-    if tail:
-        out.write(tail)
+def _decimal(value: int) -> str:
+    """The exact decimal digits of a count: str() of an int past 4,300
+    digits raises on current Pythons, str() of a Decimal does not."""
+    from decimal import Decimal  # imported here to keep the pair stream's start-up light
+
+    return str(Decimal(value))
 
 
-def _write_pairs(path: str, chunks: Iterable[bytes], fmt: str, n: int, total: int,
-                 rows: tuple[tuple[int, int], ...]) -> None:
-    """Write the first ``total`` lines of ``chunks`` as a listing in ``fmt``;
-    no chunk is pulled once they are written.  A chunk is two columns of
-    lane_bytes(n)-byte little-endian ints, and its i-th value of each column
-    gives one line per row of ``rows``, which names the columns that the
-    line's f and g read.  A degree-n polynomial has n // 4 + 1 hex digits,
-    so the lines of one value are one template with two holes a row: two
-    strided copies per digit and row fill them."""
+def _pair_texts(chunks: Iterable[bytes], fmt: str, n: int, total: int,
+                rows: tuple[tuple[int, int], ...]) -> Iterator[str]:
+    """The first ``total`` lines of ``chunks`` as a listing in ``fmt``: the
+    head with the first block, the separator with each later block, then the
+    tail (with the head if no block was made); no chunk is pulled once the
+    lines are made.  A chunk is two columns of lane_bytes(n)-byte
+    little-endian ints, and its i-th value of each column gives one line per
+    row of ``rows``, which names the columns that the line's f and g read.
+    A degree-n polynomial has n // 4 + 1 hex digits, so the lines of one
+    value are one template with two holes a row: two strided copies per
+    digit and row fill them."""
     head, line, sep, tail = {
         "text": ("", "0x%s 0x%s\n", "", ""),
         "csv": ("f,g\n", "0x%s,0x%s\n", "", ""),
-        "json": ('{"degree": %d, "count": %d, "pairs": [' % (n, total), '{"f": "0x%s", "g": "0x%s"}', ", ", "]}\n"),
+        "json": ('{"degree": %d, "count": %s, "pairs": [', '{"f": "0x%s", "g": "0x%s"}', ", ", "]}\n"),
     }[fmt]
+    if fmt == "json":
+        head %= (n, _decimal(total))
     size, digits = lane_bytes(n), n // 4 + 1
     lasts = line.index("%s") + digits - 1, line.rindex("%s") + 2 * digits - 3  # each number's last digit
     line = (line % ("0" * digits, "0" * digits) + sep).encode()
     holes = [(r * len(line) + last, col) for r, row in enumerate(rows) for last, col in zip(lasts, row)]
     unit = line * len(rows)
+    chunks, left, lead, end = iter(chunks), total, head, head + tail
+    while left > 0 and (cols := next(chunks, None)) is not None:
+        hexed = binascii.hexlify(cols)
+        half = len(hexed) >> 1
+        out = bytearray(unit * (half // (2 * size)))
+        for hole, col in holes:
+            for j in range(digits):  # nibble j: the high one of byte j // 2 comes first
+                out[hole - j::len(unit)] = hexed[col * half + (j ^ 1):(col + 1) * half:2 * size]
+        lines = min(len(out) // len(line), left)
+        left -= lines
+        del out[lines * len(line) - len(sep):]
+        yield lead + out.decode("ascii")
+        lead, end = sep, tail
+    if end:
+        yield end
 
-    def texts(chunks: Iterator[bytes], left: int) -> Iterator[str]:
-        while left > 0 and (cols := next(chunks, None)) is not None:
-            hexed = binascii.hexlify(cols)
-            half = len(hexed) >> 1
-            out = bytearray(unit * (half // (2 * size)))
-            for hole, col in holes:
-                for j in range(digits):  # nibble j: the high one of byte j // 2 comes first
-                    out[hole - j::len(unit)] = hexed[col * half + (j ^ 1):(col + 1) * half:2 * size]
-            lines = min(len(out) // len(line), left)
-            left -= lines
-            del out[lines * len(line) - len(sep):]
-            yield out.decode("ascii")
 
-    with _open_out(path) as out:
-        _write_blocks(out, texts(iter(chunks), total), head, sep, tail)
-
-
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> Iterator[str]:
     n = args.degree
     limit = args.limit
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     total = count_pairs(n) if limit is None else min(count_pairs(n), limit)
     chunks = _checked(pair_chunks(n), n) if args.check else pair_chunks(n)
-    _write_pairs(args.output, chunks, args.format, n, total, ((0, 1), (1, 0)))
-    return 0
+    return _pair_texts(chunks, args.format, n, total, ((0, 1), (1, 0)))
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    n = args.degree
-    if args.method == "closed":
-        value = count_pairs(n)
-    elif args.method == "sum":
-        value = count_pairs_sum(n)
-    else:
-        value = len(oracle_pairs(n))
-    print(value)
-    return 0
+def _cmd_count(args: argparse.Namespace) -> list[str]:
+    count = {"closed": count_pairs, "sum": count_pairs_sum, "oracle": lambda n: len(oracle_pairs(n))}[args.method]
+    return [_decimal(count(args.degree)) + "\n"]
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> Iterator[str]:
     n = args.degree
     pairs = sorted(oracle_pairs(n))
-    size = lane_bytes(n)
-    chunks = (b"".join(pair[x].to_bytes(size, "little") for x in (0, 1) for pair in pairs[i:i + FLUSH_EVERY])
-              for i in range(0, len(pairs), FLUSH_EVERY))
-    _write_pairs(args.output, chunks, args.format, n, len(pairs), ((0, 1),))
-    return 0
+    size, cap = lane_bytes(n), block_cap(n)
+    chunks = (b"".join(pair[x].to_bytes(size, "little") for x in (0, 1) for pair in pairs[i:i + cap])
+              for i in range(0, len(pairs), cap))
+    return _pair_texts(chunks, args.format, n, len(pairs), ((0, 1),))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> list[str]:
     f = parse_poly(args.f)
     g = parse_poly(args.g)
     trace = euclid_trace(f, g)
@@ -233,7 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         and constant_term(g) == 1
     )
     if args.format == "json":
-        print(json.dumps({
+        return [json.dumps({
             "f": format_poly(f),
             "g": format_poly(g),
             "degree_f": None if f == 0 else deg_f,
@@ -244,35 +230,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "coprime": coprime,
             "orthogonal_pair": member,
             "euclid_quotients": [format_poly(q) for q in trace.quotients],
-        }))
-        return 0
-    print(f"f: {format_poly(f)} = {format_poly(f, 'symbolic')} "
-          f"(degree {deg_f}, constant term {constant_term(f)})")
-    print(f"g: {format_poly(g)} = {format_poly(g, 'symbolic')} "
-          f"(degree {deg_g}, constant term {constant_term(g)})")
-    print(f"gcd: {format_poly(trace.gcd)} = {format_poly(trace.gcd, 'symbolic')}")
-    print(f"coprime: {'yes' if coprime else 'no'}")
-    print(f"orthogonal pair (equal degree, unit constant terms, coprime): "
-          f"{'yes' if member else 'no'}")
-    print("euclid quotients: " + " ".join(format_poly(q) for q in trace.quotients))
-    return 0
+        }) + "\n"]
+    return [
+        f"f: {format_poly(f)} = {format_poly(f, 'symbolic')} (degree {deg_f}, constant term {constant_term(f)})\n",
+        f"g: {format_poly(g)} = {format_poly(g, 'symbolic')} (degree {deg_g}, constant term {constant_term(g)})\n",
+        f"gcd: {format_poly(trace.gcd)} = {format_poly(trace.gcd, 'symbolic')}\n",
+        f"coprime: {'yes' if coprime else 'no'}\n",
+        f"orthogonal pair (equal degree, unit constant terms, coprime): {'yes' if member else 'no'}\n",
+        "euclid quotients: " + " ".join(format_poly(q) for q in trace.quotients) + "\n",
+    ]
 
 
-def _cmd_words(args: argparse.Namespace) -> int:
+def _cmd_words(args: argparse.Namespace) -> Iterable[str]:
     k = args.length
     if args.count_only:
-        print(count_words(k))
-        return 0
-    _write_lines(args.output, map("%s\n".__mod__, words_of_length(k)))
-    return 0
+        return [_decimal(count_words(k)) + "\n"]
+    return _lines(map("%s\n".__mod__, words_of_length(k)), block_cap(k))
 
 
-def _cmd_compositions(args: argparse.Namespace) -> int:
+def _cmd_compositions(args: argparse.Namespace) -> Iterable[str]:
     if args.count_only:
-        print(count_compositions(args.n, args.k))
-        return 0
-    _write_lines(args.output, (",".join(map(str, parts)) + "\n" for parts in compositions(args.n, args.k)))
-    return 0
+        return [_decimal(count_compositions(args.n, args.k)) + "\n"]
+    return _lines((",".join(map(str, parts)) + "\n" for parts in compositions(args.n, args.k)), block_cap(args.n))
 
 
 def _render_square(entries: tuple[tuple[int, ...], ...], order: int) -> str:
@@ -280,7 +259,7 @@ def _render_square(entries: tuple[tuple[int, ...], ...], order: int) -> str:
     return "\n".join(" ".join(f"{e:>{width}}" for e in row) for row in entries)
 
 
-def _cmd_square(args: argparse.Namespace) -> int:
+def _cmd_square(args: argparse.Namespace) -> list[str]:
     if args.check_orthogonal and args.poly2 is None:
         raise ValueError("--check-orthogonal needs --poly2")
     first_rule = rule_from_poly(parse_poly(args.poly))
@@ -291,23 +270,21 @@ def _cmd_square(args: argparse.Namespace) -> int:
     first = latin_square(first_rule)
     second = latin_square(second_rule) if second_rule is not None else None
     orthogonal = are_orthogonal(first, second) if args.check_orthogonal else None
-    with _open_out(args.output) as out:
-        if args.format == "json":
-            doc = {"order": first.order, "poly": args.poly,
-                   "square": [list(r) for r in first.entries]}
-            if second is not None:
-                doc["poly2"] = args.poly2
-                doc["square2"] = [list(r) for r in second.entries]
-            if orthogonal is not None:
-                doc["orthogonal"] = orthogonal
-            out.write(json.dumps(doc) + "\n")
-            return 0
-        out.write(_render_square(first.entries, first.order) + "\n")
+    if args.format == "json":
+        doc = {"order": first.order, "poly": format_poly(first_rule.coeffs),
+               "square": [list(r) for r in first.entries]}
         if second is not None:
-            out.write("\n" + _render_square(second.entries, second.order) + "\n")
+            doc["poly2"] = format_poly(second_rule.coeffs)
+            doc["square2"] = [list(r) for r in second.entries]
         if orthogonal is not None:
-            out.write(f"\northogonal: {'yes' if orthogonal else 'no'}\n")
-    return 0
+            doc["orthogonal"] = orthogonal
+        return [json.dumps(doc) + "\n"]
+    texts = [_render_square(first.entries, first.order) + "\n"]
+    if second is not None:
+        texts.append("\n" + _render_square(second.entries, second.order) + "\n")
+    if orthogonal is not None:
+        texts.append(f"\northogonal: {'yes' if orthogonal else 'no'}\n")
+    return texts
 
 
 if __name__ == "__main__":

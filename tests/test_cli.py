@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from bisect import bisect_left
+from decimal import Decimal
 from itertools import accumulate, islice
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import pytest
 
 import ocagen
 from ocagen import const_lang, enumeration
-from ocagen.cli import _write_pairs, run
+from ocagen.cli import _pair_texts, run
+from ocagen.compositions import count_compositions
+from ocagen.const_lang import count_words
 from ocagen.enumeration import (
     ORACLE_DEGREE_LIMIT,
     count_pairs,
@@ -110,22 +113,27 @@ class TestPairWriter:
 
     @pytest.mark.parametrize("cap", [3, 40])
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_every_chunk_under_small_caps(self, n, cap, monkeypatch, capsys):
+    def test_every_chunk_under_small_caps(self, n, cap, monkeypatch):
         monkeypatch.setattr(const_lang, "BLOCK_CAP", cap)
         chunks = list(pair_chunks(n))
         flats = [lane_pairs(buf, n) for buf in chunks]
         for fmt in PERCENT_FORMATS:
-            _write_pairs("-", chunks, fmt, n, count_pairs(n), TWIN_ROWS)
-            assert_same(capsys.readouterr().out, percent_listing(flats, fmt, n, count_pairs(n)))
+            text = "".join(_pair_texts(chunks, fmt, n, count_pairs(n), TWIN_ROWS))
+            assert_same(text, percent_listing(flats, fmt, n, count_pairs(n)))
 
     @pytest.mark.parametrize("n", [20, 40, 64, 100])
-    def test_seeded_chunks_at_every_lane_width(self, n, monkeypatch, capsys):
+    def test_seeded_chunks_at_every_lane_width(self, n, monkeypatch):
         monkeypatch.setattr(const_lang, "BLOCK_CAP", 256)  # small chunks keep the test quick
         for chunk in seeded_chunks(n, random.Random(n)):
             flat = chunk_pairs(*chunk)
             for fmt in PERCENT_FORMATS:
-                _write_pairs("-", [enumeration._lanes(*chunk)], fmt, n, len(flat) >> 1, TWIN_ROWS)
-                assert_same(capsys.readouterr().out, percent_listing([flat], fmt, n, len(flat) >> 1))
+                text = "".join(_pair_texts([enumeration._lanes(*chunk)], fmt, n, len(flat) >> 1, TWIN_ROWS))
+                assert_same(text, percent_listing([flat], fmt, n, len(flat) >> 1))
+
+    def test_json_head_past_the_int_digit_limit(self):
+        total = count_pairs(7144)
+        doc = json.loads("".join(_pair_texts([], "json", 7144, total, TWIN_ROWS)), parse_int=Decimal)
+        assert doc == {"degree": 7144, "count": total, "pairs": []}
 
 
 class TestCount:
@@ -155,6 +163,19 @@ class TestCount:
     def test_zero_degree_is_domain_error(self, argv, capsys):
         assert run(argv + ["--degree", "0"]) == 1
         assert "degree must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, value", [
+        (["count", "--degree", "7144"], count_pairs(7144)),
+        (["words", "--length", "15000", "--count-only"], count_words(15000)),
+        (["compositions", "--n", "20000", "--k", "10000", "--count-only"], count_compositions(20000, 10000)),
+    ], ids=["count", "words", "compositions"])
+    def test_counts_past_the_int_digit_limit(self, argv, value, capsys):
+        # str() of an int refuses more than 4,300 digits on current Pythons
+        assert len(str(Decimal(value))) > 4300
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert Decimal(out) == value
 
 
 class TestEnumerate:
@@ -381,9 +402,15 @@ class TestSquare:
                     "--check-orthogonal", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["order"] == 4
+        assert (doc["poly"], doc["poly2"]) == ("0x5", "0x7")
         assert doc["square"][1] == [1, 0, 3, 2]
         assert len(doc["square2"]) == 4
         assert doc["orthogonal"] is True
+
+    def test_json_polys_in_wire_format(self, capsys):
+        assert run(["square", "--poly", "x^2+1", "--poly2", " 0X7 ", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["poly"], doc["poly2"]) == ("0x5", "0x7")
 
     def test_check_needs_second_poly(self, capsys):
         assert run(["square", "--poly", "0x5", "--check-orthogonal"]) == 1
@@ -415,8 +442,33 @@ class TestSquare:
         assert "error" in capsys.readouterr().err
 
 
+def first_line_in_child(argv):
+    """Run ``python -m ocagen *argv`` into a pipe whose reader closes after
+    one line.  Returns the line, the exit code, stderr and the run's peak
+    RSS in bytes.  A process takes its parent's peak RSS into its own
+    ru_maxrss when it starts, so a fresh interpreter starts the measured
+    run and reads its peak back as RUSAGE_CHILDREN, clear of the test run's."""
+    src = str(Path(ocagen.__file__).resolve().parents[1])
+    code = ("import json, resource, subprocess, sys; "
+            f"proc = subprocess.Popen([sys.executable, '-m', 'ocagen', *{argv!r}], "
+            "stdout=subprocess.PIPE, stderr=subprocess.PIPE); "
+            "line = proc.stdout.readline().decode(); proc.stdout.close(); err = proc.stderr.read().decode(); "
+            "print(json.dumps([line, proc.wait(), err, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    line, returncode, err, peak = json.loads(proc.stdout)
+    return line, returncode, err, peak * (1 if sys.platform == "darwin" else 1024)  # ru_maxrss is KiB on Linux
+
+
 class TestOutputErrors:
-    @pytest.mark.parametrize("argv", [["enumerate", "--degree", "3"], ["words", "--length", "4"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--degree", "3"],
+        ["words", "--length", "4"],
+        ["oracle", "--degree", "3"],
+        ["compositions", "--n", "4", "--k", "2"],
+        ["square", "--poly", "0x5"],
+    ], ids=" ".join)
     def test_unwritable_output(self, argv, tmp_path, capsys):
         path = tmp_path / "missing" / "out.txt"
         assert run(argv + ["--output", str(path)]) == 1
@@ -425,11 +477,43 @@ class TestOutputErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["square", "--poly", "0x5", "--check-orthogonal"],
+        ["enumerate", "--degree", "0"],
+        ["enumerate", "--degree", "3", "--limit", "-1"],
+        ["words", "--length", "-1"],
+        ["compositions", "--n", "3", "--k", "4"],
+        ["oracle", "--degree", "13"],
+    ], ids=" ".join)
+    def test_errors_before_the_output_is_opened(self, argv, tmp_path, capsys):
+        path = tmp_path / "x"
+        assert run(argv + ["--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv, first", [
+        (["words", "--length", "64000"], "0" * 64000 + "\n"),
+        (["compositions", "--n", "20000", "--k", "19999"], "1," * 19998 + "2\n"),
+    ], ids=["words", "compositions"])
+    def test_first_line_of_a_long_listing_in_bounded_memory(self, argv, first):
+        # A block holds at most block_cap(line length) lines, so a listing of
+        # long lines holds a few MB before its first line is written.
+        line, code, err, peak = first_line_in_child(argv)
+        assert (line, code, err) == (first, 0, "")
+        assert peak < 64 << 20
+
+    @pytest.mark.parametrize("argv", [["enumerate", "--degree", "14"], ["words", "--length", "40"]], ids=" ".join)
+    def test_reader_closing_a_real_pipe_exits_0(self, argv):
+        line, code, err, _ = first_line_in_child(argv)
+        assert line.endswith("\n") and (code, err) == (0, "")
+
     def test_closed_reader_exits_0(self, monkeypatch):
         def closed(*args):
             raise BrokenPipeError
 
-        monkeypatch.setattr("ocagen.cli._write_pairs", closed)
+        monkeypatch.setattr("ocagen.cli._pair_texts", closed)
         assert run(["enumerate", "--degree", "3"]) == 0
 
 
