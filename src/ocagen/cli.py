@@ -146,12 +146,12 @@ def _pair_texts(chunks: Iterable[bytes], fmt: str, n: int, total: int,
     """The first ``total`` lines of ``chunks`` as a listing in ``fmt``: the
     head with the first block, the separator with each later block, then the
     tail (with the head if no block was made); no chunk is pulled once the
-    lines are made.  A chunk is two columns of lane_bytes(n)-byte
-    little-endian ints, and its i-th value of each column gives one line per
-    row of ``rows``, which names the columns that the line's f and g read.
-    A degree-n polynomial has n // 4 + 1 hex digits, so the lines of one
-    value are one template with two holes a row: two strided copies per
-    digit and row fill them."""
+    lines are made, and chunks that run out first raise ValueError.  A chunk
+    is two columns of lane_bytes(n)-byte little-endian ints, and its i-th
+    value of each column gives one line per row of ``rows``, which names the
+    columns that the line's f and g read.  A degree-n polynomial has
+    n // 4 + 1 hex digits, so the lines of one value are one template with
+    two holes a row: two strided copies per digit and row fill them."""
     head, line, sep, tail = {
         "text": ("", "0x%s 0x%s\n", "", ""),
         "csv": ("f,g\n", "0x%s,0x%s\n", "", ""),
@@ -177,6 +177,8 @@ def _pair_texts(chunks: Iterable[bytes], fmt: str, n: int, total: int,
         del out[lines * len(line) - len(sep):]
         yield lead + out.decode("ascii")
         lead, end = sep, tail
+    if left > 0:
+        raise ValueError(f"the stream ended {left} lines short of {total}")
     if end:
         yield end
 

@@ -21,6 +21,7 @@ and the number of valid words of length k is (2^k + 2*(-1)^k) / 3.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
@@ -87,10 +88,10 @@ def count_words(k: int) -> int:
 # The package's one automaton walk.  The completions of length r + 1 from
 # a state are each symbol followed by the completions of length r from the
 # state it reads to, so with the first symbol highest they come out in
-# ascending (lexicographic) order.  ``word_blocks`` cuts the words by their
-# closed-form count.  A block is a prefix and the state it reads to:
-# ``spell`` writes out its words, the package's only speller, and the
-# enumeration core lays out one lane per ending-0 completion of its state.
+# ascending (lexicographic) order.  ``word_blocks`` cuts the words, behind
+# any free bits, by their closed-form count.  A block is a prefix and the
+# state it reads to: ``spell`` writes out its words, the package's only
+# speller, and the core lays out one lane per ending-0 completion of its state.
 
 
 def count_completions(state: int, length: int) -> int:
@@ -114,17 +115,18 @@ def completions(state: int, length: int) -> list[int]:
     return tails[state]
 
 
-def word_blocks(k: int, cap: int) -> Iterator[tuple[str, int]]:
-    """The valid words of length k, in lexicographic order, as blocks of at
-    most ``cap`` words (cap >= 1).
+def word_blocks(k: int, cap: int, bits: int = 0) -> Iterator[tuple[str, int]]:
+    """The strings of ``bits`` free bits then a valid word of length k, in
+    lexicographic order, as blocks of at most ``cap`` strings (cap >= 1).
 
-    A block is (prefix, state): the words that start with ``prefix``, which
-    the inverse automaton reads from START to STATES[state]; ``spell`` lists
-    them.  Starting from the empty prefix, a prefix with more than ``cap``
-    completions splits into its two one-symbol extensions, and a prefix
-    with none is dropped.  So the blocks are all the words at once when
-    there are at most ``cap`` of them, and nothing is emitted when no word
-    has length k.
+    A block is (prefix, state): the strings that start with ``prefix``,
+    whose word part the inverse automaton reads from START to
+    STATES[state]; a free bit leaves the state as it is, and with no bits
+    ``spell`` lists a block's words.  Starting from the empty prefix, a
+    prefix with more than ``cap`` completions splits into its two
+    one-symbol extensions, and a prefix with none is dropped.  So the
+    blocks are all the strings at once when there are at most ``cap`` of
+    them, and nothing is emitted when no word has length k.
     """
     # Depth first on an explicit stack, the 0-extension on top: a prefix can
     # be longer than Python's recursion limit.  A pending extension is (length,
@@ -134,17 +136,19 @@ def word_blocks(k: int, cap: int) -> Iterator[tuple[str, int]]:
     while stack:
         length, symbol, state = stack.pop()
         prefix[length - 1:] = symbol  # the root (0, "") pops on an empty list
-        count = count_completions(state, k - length)
+        # Of the bits + k - length positions left, the last min(that, k) are symbols.
+        count = count_completions(state, min(k, bits + k - length)) << max(0, bits - length)
         if count > cap:
-            stack += [(length + 1, "1", INV[state][1]), (length + 1, "0", INV[state][0])]
+            stack += [(length + 1, s, INV[state][s == "1"] if length >= bits else state) for s in "10"]
         elif count:
             yield "".join(prefix), state
 
 
-def spell(k: int, prefix: str, state: int) -> list[str]:
+@lru_cache(maxsize=1)  # one block (< 2^22 symbols), which each composition of a k spells
+def spell(k: int, prefix: str, state: int) -> tuple[str, ...]:
     """The words of length k of one block of ``word_blocks``, in order."""
     top = 1 << (k - len(prefix))
-    return [prefix + bin(top | w)[3:] for w in completions(state, k - len(prefix))]
+    return tuple(prefix + bin(top | w)[3:] for w in completions(state, k - len(prefix)))
 
 
 # Items per block below 64 bits, for chunks of pairs and word listings alike.

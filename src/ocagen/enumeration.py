@@ -41,6 +41,8 @@ from .compositions import Composition, compositions
 from .const_lang import block_cap, completions, count_words, is_valid_word, spell, word_blocks
 from .gf2poly import Poly, gcd, unit_polys
 
+# ``oracle --degree 12`` takes 11-12 s and peaks near 360 MiB on a 2-CPU
+# Python 3.11 host (``count --method oracle`` 5 s); both grow 4x per degree.
 ORACLE_DEGREE_LIMIT = 12
 
 Provenance = tuple[Composition, str, str]
@@ -141,7 +143,8 @@ def pair_chunks(n: int) -> Iterator[bytes]:
     at most block_cap(n) pairs at a time, as its lanes' bytes: the f's, then
     the g's, each a lane_bytes(n)-byte little-endian int.  Lane p stands for
     the chunk's lines 2p, (f_p, g_p), and 2p + 1, (g_p, f_p)."""
-    return (_lanes(parts, *chunk) for parts in _compositions(n) for chunk in _chunks(parts))
+    return (_lanes(parts, *block) for parts in _compositions(n)
+            for block in word_blocks(len(parts), block_cap(n), n - len(parts)))
 
 
 def _compositions(n: int) -> Iterator[Composition]:
@@ -161,13 +164,14 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
     if len(parts) < 2:
         raise ValueError("quotient degree sequences have at least two parts")
     # Records are built in C.  A chunk's triples are its intermediate strings,
-    # counting up from the fixed bits, times its block's words.
+    # counting up from its fixed bits, times the words of its word prefix.
     n, k = sum(parts), len(parts)
     return chain.from_iterable(
         map(tuple.__new__, repeat(PairRecord), zip(pairs, pairs, triples or repeat(None)))
-        for mids, prefix, state in _chunks(parts)
-        for f, g in [lane_columns(_lanes(parts, mids, prefix, state), n)]
+        for fixed, state in word_blocks(k, block_cap(n), n - k)
+        for f, g in [lane_columns(_lanes(parts, fixed, state), n)]
         for pairs in [chain.from_iterable(zip(f, g, g, f))]
+        for mids, prefix in [(fixed[:n - k], fixed[n - k:])]
         for triples in [with_provenance and product(
             (parts,), map(mids.__add__, _bit_strings(n - k - len(mids))), spell(k, prefix, state))]
     )
@@ -180,9 +184,9 @@ def pairs_for_composition(parts: Composition, with_provenance: bool = False) -> 
 # (broadword, Knuth TAOCP 4A §7.1.3): a free bit or symbol adds A·X^pos
 # into the lanes that have it set, through its lane mask.  Every value has
 # degree at most n, below the lane width, so no lane carries into the next.
-# A slice is cut into chunks of at most block_cap(n) pairs by fixing leading
-# intermediate bits and, when the words alone are more, a word prefix: a
-# chunk is those bits and one (prefix, state) block of ``word_blocks``.  A
+# A slice's free string, its n - k intermediate bits then its word, is cut
+# by ``word_blocks`` into chunks of at most block_cap(n) pairs: a chunk is
+# one fixed prefix of that string and the automaton state it reads to.  A
 # valid word ends in a free symbol, and the last step of dilcuE gives its
 # ending-1 twin the pair of its ending-0 twin swapped, so lane hi·C + j is
 # the hi-th setting of the unfixed bits with the j-th of the C ending-0
@@ -211,50 +215,38 @@ def lane_columns(buf: bytes, n: int) -> tuple[list[int], list[int]]:
     return ints[:len(ints) >> 1], ints[len(ints) >> 1:]
 
 
-def _chunks(parts: Composition) -> Iterator[tuple[str, str, int]]:
-    """(fixed intermediate bits, word prefix, automaton state after it) of
-    each chunk of the slice, in stream order."""
-    k, cap = len(parts), block_cap(sum(parts))
-    free = sum(parts) - k
-    words = count_words(k)
-    fixed = free
-    while fixed and words << (free - fixed + 1) <= cap:
-        fixed -= 1
-    return ((mids, *block) for mids in _bit_strings(fixed) for block in word_blocks(k, cap))
-
-
 @lru_cache(maxsize=3)
-def _layout(state: int, depth: int, unfixed: int, size: int) -> tuple:
-    """(ONES, the unfixed bits' lane masks, p_1's X^1 first, the suffix
-    symbols' but the last, the number of lanes).  At a cap of 2^m, m >= 3,
-    all chunks of one k in a degree's stream share ``unfixed`` and ``depth``
-    (every state has under 2^m completions of length m + 1 and over 2^m of
-    length m + 2), so they need at most one layout per automaton state."""
+def _layout(state: int, rest: int, k: int, size: int) -> tuple:
+    """(ONES, the lane masks of a chunk's last ``rest`` positions but the
+    last, in order, the number of lanes): the rest - k unfixed bits' masks,
+    if any, are periodic; each word symbol's is its bit in one lane int of
+    the ending-0 completions from ``state``, widened to the whole lane.  At
+    a cap of 2^m, m >= 3, all chunks of one k in a degree's stream share
+    ``rest`` (every state has under 2^m completions of length m + 1 and over
+    2^m of length m + 2), so they need at most one layout per state."""
+    depth, w = min(rest, k), size << 3
     leaves = completions(state, depth)[::2]
-    lanes, off, on = len(leaves) << unfixed, bytes(size), b"\xff" * size
+    lanes, off, on = len(leaves) << rest - depth, bytes(size), b"\xff" * size
 
     def mask(period: bytes) -> int:
         return int.from_bytes(period * (lanes * size // len(period)), "little")
 
-    return (
-        mask(b"\1" + off[1:]),
-        [mask(off * (lanes >> t) + on * (lanes >> t)) for t in range(1, unfixed + 1)],
-        [mask(b"".join(on if leaf >> t & 1 else off for leaf in leaves)) for t in reversed(range(1, depth))],
-        lanes,
-    )
+    ones, words = mask(b"\1" + off[1:]), mask(b"".join(leaf.to_bytes(size, "little") for leaf in leaves))
+    bits = [mask(off * (lanes >> t) + on * (lanes >> t)) for t in range(1, rest - depth + 1)]
+    return ones, bits + [(Q << w) - Q for t in reversed(range(1, depth)) for Q in [words >> t & ones]], lanes
 
 
-def _lanes(parts: Composition, mids: str, prefix: str, state: int) -> bytes:
+def _lanes(parts: Composition, fixed: str, state: int) -> bytes:
     """One chunk's lanes, f's then g's, as bytes."""
     n, k, size = sum(parts), len(parts), lane_bytes(sum(parts))
-    ones, bits, symbols, lanes = _layout(state, k - len(prefix), n - k - len(mids), size)
-    # The lanes of each term: a fixed 1 is in every lane (-1), a fixed 0 in none.
-    terms = iter([-1 if b == "1" else 0 for b in mids] + bits)
-    consts = [-1 if s == "1" else 0 for s in prefix] + symbols + [0]
+    ones, masks, lanes = _layout(state, n - len(fixed), k, size)
+    # A fixed 1 is in every lane (-1); a fixed 0 and the completions' last symbol in none.
+    terms = [-1 if b == "1" else 0 for b in fixed] + masks + [0]
+    mids = iter(terms[:n - k])
     A, B = ones, 0
-    for d, c in zip(parts, consts):
+    for d, c in zip(parts, terms[n - k:]):
         P = (A << d) ^ B
-        for pos, m in zip(range(1, d), terms):
+        for pos, m in zip(range(1, d), mids):
             if m:
                 P ^= (A << pos) & m
         if c:

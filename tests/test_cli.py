@@ -7,7 +7,7 @@ import sys
 import time
 from bisect import bisect_left
 from decimal import Decimal
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ import ocagen
 from ocagen import const_lang, enumeration
 from ocagen.cli import _pair_texts, run
 from ocagen.compositions import count_compositions
-from ocagen.const_lang import count_words
+from ocagen.const_lang import block_cap, count_words
 from ocagen.enumeration import (
     ORACLE_DEGREE_LIMIT,
     count_pairs,
@@ -43,6 +43,10 @@ WRITER_SHA256 = {
     # the ROADMAP's degree-10 reference hash of the text listing
     ("enumerate", "--degree", "10"):
         "4e062eec03ea37c6cc389e023ced22fd9cb7fd9f247665e1e572123d6602fe6f",
+    # 300,000 lines: the slice (1, 17) is two chunks at the real cap, and the
+    # listing goes on into (2, 16); checked against the assemble + dilcuE replay
+    ("enumerate", "--degree", "18", "--limit", "300000"):
+        "8c68902a38f4d10ed3a3a88b5cce1d5888e5e4ddcdbbec7309576385eab261e4",
     ("oracle", "--degree", "6"):
         "a97f669c81de56147544da28b3c4cfa293c484a89bde365d9dd0bce0f20754f0",
     # 87,382 words: two 2^16-word blocks
@@ -131,9 +135,14 @@ class TestPairWriter:
                 assert_same(text, percent_listing([flat], fmt, n, len(flat) >> 1))
 
     def test_json_head_past_the_int_digit_limit(self):
-        total = count_pairs(7144)
-        doc = json.loads("".join(_pair_texts([], "json", 7144, total, TWIN_ROWS)), parse_int=Decimal)
-        assert doc == {"degree": 7144, "count": total, "pairs": []}
+        # The head goes out with the first block (a listing that ends short
+        # is an error), so the first block of the real stream is read, closed.
+        total, top = count_pairs(7144), 1 << 7144
+        first = next(_pair_texts(pair_chunks(7144), "json", 7144, total, TWIN_ROWS))
+        doc = json.loads(first + "]}", parse_int=Decimal)
+        assert (doc["degree"], doc["count"], len(doc["pairs"])) == (7144, total, block_cap(7144))
+        assert doc["pairs"][:2] == [{"f": f"{top | 3:#x}", "g": f"{top | 1:#x}"},
+                                    {"f": f"{top | 1:#x}", "g": f"{top | 3:#x}"}]
 
 
 class TestCount:
@@ -245,6 +254,17 @@ class TestEnumerate:
         assert unchecked.startswith(captured.out)
         assert captured.out.count("\n") == first
         assert f"{bad.f:#x} {bad.g:#x}\n" not in captured.out
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_short_stream_is_an_error(self, fmt, capsys, monkeypatch):
+        # A core whose chunks run dry before the count is made is an error,
+        # not a short listing with exit 0: here every chunk after two is empty.
+        written = sum(1 for parts in ((1, 4), (2, 3)) for _ in pairs_for_composition(parts))
+        lanes, made = enumeration._lanes, count()
+        monkeypatch.setattr(enumeration, "_lanes", lambda *chunk: lanes(*chunk) if next(made) < 2 else b"")
+        assert run(["enumerate", "--degree", "5", "--format", fmt]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the stream ended {count_pairs(5) - written} lines short of {count_pairs(5)}"]
 
     def test_checked_limit_crosses_a_chunk(self, capsys):
         # (1, 19) leads the degree-20 stream and is 8 chunks at the real cap.

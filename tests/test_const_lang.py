@@ -1,5 +1,7 @@
 import os
 import re
+from bisect import bisect_left
+from functools import reduce
 import subprocess
 import sys
 from itertools import islice, product
@@ -127,17 +129,25 @@ class TestWords:
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 7, 64])
     def test_blocks_partition_the_words(self, cap):
-        for k in range(0, 13):
-            blocks = list(word_blocks(k, cap))
+        # The strings are ``bits`` free bits then a valid word, sorted, so
+        # the strings that start with a prefix are one run, found by bisection.
+        for bits, k in product(range(0, 4), range(0, 13)):
             words = list(words_of_length(k))
-            assert [w for block in blocks for w in spell(k, *block)] == words
-            assert all(1 <= len(spell(k, *block)) <= cap for block in blocks)
-            if count_words(k) <= cap:
-                assert [prefix for prefix, _ in blocks] == ([""] if count_words(k) else [])
-            # the split rule: a prefix is cut only when it holds more than cap words
-            for prefix, _ in blocks:
+            strings = [b + w for b in map("".join, product("01", repeat=bits)) for w in words]
+            blocks = list(word_blocks(k, cap, bits))
+            runs = [(bisect_left(strings, prefix), bisect_left(strings, prefix + "2")) for prefix, _ in blocks]
+            assert [s for lo, hi in runs for s in strings[lo:hi]] == strings
+            assert all(1 <= hi - lo <= cap for lo, hi in runs)
+            if not bits:
+                assert [w for block in blocks for w in spell(k, *block)] == words
+            if len(strings) <= cap:
+                assert [prefix for prefix, _ in blocks] == ([""] if strings else [])
+            for prefix, state in blocks:
+                # a block's state is the word part of its prefix read from START
+                assert state == reduce(lambda st, ch: INV[st][int(ch)], prefix[bits:], START_INDEX)
+                # the split rule: a prefix is cut only when it holds more than cap strings
                 if prefix:
-                    assert sum(w.startswith(prefix[:-1]) for w in words) > cap
+                    assert bisect_left(strings, prefix[:-1] + "2") - bisect_left(strings, prefix[:-1]) > cap
 
     def test_real_cap_blocks_share_one_depth(self):
         # Every state has under 2^16 completions of length 17 and over 2^16

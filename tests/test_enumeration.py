@@ -1,13 +1,23 @@
 import hashlib
 import random
-from itertools import chain, islice
+from itertools import chain, islice, product
 from math import comb
 
 import pytest
 
 from ocagen import const_lang, enumeration
 from ocagen.compositions import compositions
-from ocagen.const_lang import INV, START_INDEX, block_cap, completions, count_completions, spell, words_of_length
+from ocagen.const_lang import (
+    INV,
+    START_INDEX,
+    block_cap,
+    completions,
+    count_completions,
+    count_words,
+    spell,
+    word_blocks,
+    words_of_length,
+)
 from ocagen.enumeration import (
     ORACLE_DEGREE_LIMIT,
     PairRecord,
@@ -70,26 +80,48 @@ def lane_pairs(buf, n):
     return tuple(chain.from_iterable(zip(f, g, g, f)))
 
 
-def chunk_pairs(parts, mids, prefix, state):
+def chunk_plan(parts):
+    """The chunks of one slice, as the core cuts them: (a fixed prefix of the
+    slice's free string, intermediate bits then word, the automaton state
+    after it), in stream order."""
+    n, k = sum(parts), len(parts)
+    return word_blocks(k, block_cap(n), n - k)
+
+
+def reference_chunk_plan(parts):
+    """The same plan by two rules: fix the fewest leading intermediate bits
+    that leave at most block_cap(n) pairs with every word, and, when the
+    words alone are more, fix every bit and cut the words by ``word_blocks``."""
+    k, cap = len(parts), block_cap(sum(parts))
+    free = sum(parts) - k
+    words = count_words(k)
+    fixed = free
+    while fixed and words << (free - fixed + 1) <= cap:
+        fixed -= 1
+    mids = map("".join, product("01", repeat=fixed))
+    return ((bits + prefix, state) for bits in mids for prefix, state in word_blocks(k, cap))
+
+
+def chunk_pairs(parts, fixed, state):
     """One chunk's pairs, in stream order, as a flat tuple (f0, g0, f1, g1, ..)."""
-    return lane_pairs(enumeration._lanes(parts, mids, prefix, state), sum(parts))
+    return lane_pairs(enumeration._lanes(parts, fixed, state), sum(parts))
 
 
 def seeded_chunks(n, rng):
-    """One seeded chunk (parts, mids, prefix, state) from each of three
+    """One seeded chunk (parts, fixed, state) from each of three
     compositions of n (two parts, a random number of parts, n parts), as
     the enumeration core cuts it: random fixed intermediate bits and a
-    random word block, found by the split rule of ``word_blocks``.  Needs
+    random word prefix, found by the split rule of ``word_blocks``.  Needs
     n >= 4."""
     for k in (2, rng.randrange(3, n), n):
         cuts = sorted(rng.sample(range(1, n), k - 1))
         parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
-        mids = "".join(rng.choice("01") for _ in next(enumeration._chunks(parts))[0])
+        mids = "".join(rng.choice("01") for _ in next(chunk_plan(parts))[0][:n - k])
         prefix, state = "", START_INDEX
         while count_completions(state, k - len(prefix)) > block_cap(n):
             s = rng.choice([s for s in (0, 1) if count_completions(INV[state][s], k - len(prefix) - 1)])
             prefix, state = prefix + "01"[s], INV[state][s]
-        yield parts, mids, prefix, state
+        yield parts, mids + prefix, state
 
 
 class TestIntermediateSequences:
@@ -192,8 +224,20 @@ class TestEnumerate:
         for k in range(2, n + 1):
             for parts in compositions(n, k):
                 assert list(pairs_for_composition(parts, True)) == list(replay_pairs(parts))
-                for chunk in enumeration._chunks(parts):
+                for chunk in chunk_plan(parts):
                     assert 0 < len(chunk_pairs(parts, *chunk)) <= 2 * cap
+
+    @pytest.mark.parametrize("cap", [3, 40, 1 << 16])
+    def test_chunk_plan_matches_the_two_rule_reference(self, cap, monkeypatch):
+        # One split rule over the whole free string cuts each slice where
+        # the fixed-bit loop and the word split did.  Both plans read only
+        # the degree and the number of parts, so one slice per (n, k) covers
+        # every slice of the degree.
+        monkeypatch.setattr(const_lang, "BLOCK_CAP", cap)
+        for n in range(2, 13):
+            for k in range(2, n + 1):
+                parts = (n - k + 1,) + (1,) * (k - 1)
+                assert_same(list(chunk_plan(parts)), list(reference_chunk_plan(parts)))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_pair_tuples_match_records(self, n):
@@ -211,7 +255,7 @@ class TestEnumerate:
             parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
             head = list(islice(pairs_for_composition(parts, True), 2000))
             assert_same(head, list(islice(replay_pairs(parts), 2000)))
-            first = next(enumeration._chunks(parts))
+            first = next(chunk_plan(parts))
             assert 0 < len(chunk_pairs(parts, *first)) <= 2 * block_cap(n)
 
     @pytest.mark.parametrize("n", [1000, 4000])
@@ -232,7 +276,7 @@ class TestEnumerate:
         # records of every chunk match their replay, and each state's lane
         # layout is built once for the whole slice.
         parts = (1,) * 9 + (2,) + (1,) * 9
-        k = len(parts)
+        n, k = sum(parts), len(parts)
         builds = []
 
         def counted(state, length):
@@ -242,10 +286,11 @@ class TestEnumerate:
         monkeypatch.setattr(enumeration, "completions", counted)
         enumeration._layout.cache_clear()
         records = iter(pairs_for_composition(parts, True))
-        chunks = list(enumeration._chunks(parts))
+        chunks = list(chunk_plan(parts))
         assert len(chunks) == 8
-        assert {state for _, _, state in chunks} == {0, 1, 2}
-        for mids, prefix, state in chunks:
+        assert {state for _, state in chunks} == {0, 1, 2}
+        for fixed, state in chunks:
+            mids, prefix = fixed[:n - k], fixed[n - k:]
             words = spell(k, prefix, state)
             assert 0 < len(words) <= const_lang.BLOCK_CAP
             head = list(islice(records, 300))
@@ -295,6 +340,35 @@ class TestLaneColumns:
         buf = random.Random(n).randbytes(2 * 37 * size)
         ints = [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
         assert lane_columns(buf, n) == (ints[:37], ints[37:])
+
+
+class TestLayout:
+    @pytest.mark.parametrize("size", [1, 2, 4, 9])
+    def test_masks_lane_by_lane(self, size):
+        # Each mask against its definition, lane by lane: lane hi·C + j is
+        # all ones where the position's bit is set in the hi-th setting of
+        # the unfixed bits (first bit highest) or in the j-th of the C
+        # ending-0 completions, and zero elsewhere, with nothing past the
+        # last lane.  So widening by (Q << w) - Q borrows nothing across lanes.
+        w = size << 3
+        full = (1 << w) - 1
+        for rest in range(1, min(w, 13)):
+            for k in range(2, rest + 3):
+                depth, unfixed = min(rest, k), max(0, rest - k)
+                for state in range(3):
+                    leaves = completions(state, depth)[::2]
+                    if not leaves:  # the splitter drops empty blocks
+                        continue
+                    ones, masks, lanes = enumeration._layout(state, rest, k, size)
+                    assert lanes == len(leaves) << unfixed
+                    assert len(masks) == rest - 1
+                    for p in range(lanes):
+                        hi, j = divmod(p, len(leaves))
+                        bits = [hi >> (unfixed - t) & 1 for t in range(1, unfixed + 1)]
+                        bits += [leaves[j] >> t & 1 for t in reversed(range(1, depth))]
+                        assert ones >> p * w & full == 1
+                        assert [m >> p * w & full for m in masks] == [full * b for b in bits]
+                    assert all(m >> lanes * w == 0 for m in [ones, *masks])
 
 
 class TestOracle:
