@@ -35,8 +35,9 @@ def constant_term(p: Poly) -> int:
 
 def mul(a: Poly, b: Poly) -> Poly:
     """Carry-less product of a and b: the package's one multiply, called by
-    ``dilcue`` and ``latin_square``.  The enumeration core forms the same
-    products for whole lists at once, one shifted XOR per quotient bit."""
+    ``dilcue``.  The enumeration core forms the same products for whole
+    lists at once, one shifted XOR per quotient bit, and ``latin_square``
+    spans all products i·p of one rule from its shifts p << t."""
     if a < b:
         a, b = b, a
     if b < 0:

@@ -15,20 +15,25 @@ Indexed by row i and column j, it forms a Latin square of order 2^(d-1).
 
 Two linear rules yield orthogonal Latin squares exactly when their
 polynomials are coprime.  are_orthogonal checks this by the definition,
-never by gcd: with byte translation tables in C when the order is at most
-256 and every row of both squares is a permutation (as in every square
-latin_square builds), else with the set of superposed cells.  Whether a
-square's rows qualify is decided once, when the square is built.
+never by gcd.  The square of a linear rule is an affine map of
+GF(2)^m x GF(2)^m, N = 2^m; superposing two such squares gives an affine
+map of GF(2)^2m, which hits all N^2 pairs exactly when the images of its
+2m unit inputs are linearly independent (the Sylvester-rank view of
+Mariot, Gadouleau, Formenti & Leporati, Des. Codes Cryptogr. 2020).
+Whether a square is affine, and those images, are decided once, when the
+square is built; any pair with a square that is not goes through the set
+of superposed cells.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
+from struct import Struct
 from typing import NamedTuple
 
-from .gf2poly import Poly, constant_term, degree, mul
+from .gf2poly import Poly, constant_term, degree
 
-# Degree 12 (order 4096) builds in ~2.5 s with a ~625 MiB peak on a 2-CPU
+# Degree 12 (order 4096) builds in ~1.5 s with a ~625 MiB peak on a 2-CPU
 # Python 3.11 host; time and memory grow 4x per degree.
 SQUARE_DEGREE_LIMIT = 12
 
@@ -59,13 +64,55 @@ class LocalRule(NamedTuple("LocalRule", [("diameter", int), ("coeffs", int)])):
         return cls(*iterable)
 
 
+def _span(start: int, images: list[int]) -> list[int]:
+    """Entry x is start XORed with images[t] for each set bit t of x, for x
+    in 0..2^len(images)-1: the affine map with those unit images."""
+    values = [start]
+    for image in images:
+        values += [v ^ image for v in values]
+    return values
+
+
+def _lane_codec(n: int):
+    """(pack, unpack, ONES) for n values below 2^16 as one int of n 16-bit
+    lanes, value k in bits 16k to 16k+15; ONES holds 1 in every lane."""
+    lanes = Struct(f"<{n}H")
+
+    def pack(values) -> int:
+        return int.from_bytes(lanes.pack(*values), "little")
+
+    def unpack(packed: int) -> tuple[int, ...]:
+        return lanes.unpack(packed.to_bytes(lanes.size, "little"))
+
+    return pack, unpack, pack([1] * n)
+
+
+def _affine_basis(n: int, entries: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[int, ...]] | None:
+    """(m, the images L(1 << t) then R(1 << t) for t < m) if N = 2^m and
+    entry (i, j) = e00 ^ L(i) ^ R(j) for linear maps L and R, else None."""
+    m = n.bit_length() - 1
+    if n != 1 << m or m > 16:
+        return None
+    row0, column0 = entries[0], tuple(row[0] for row in entries)
+    e00 = row0[0]
+    lefts = [column0[1 << t] ^ e00 for t in range(m)]
+    rights = [row0[1 << t] ^ e00 for t in range(m)]
+    if tuple(_span(e00, rights)) != row0 or tuple(_span(e00, lefts)) != column0:
+        return None
+    # Row i must be row 0 with L(i) = row[0] ^ e00 XORed into every lane.
+    pack, _, ones = _lane_codec(n)
+    base = pack(row0)
+    if any(pack(row) != base ^ (row[0] ^ e00) * ones for row in entries):
+        return None
+    return m, (*lefts, *rights)
+
+
 class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[tuple[int, ...], ...])])):
     """An order-N array over {0, .., N-1}; validity is checked by is_latin.
 
-    For N <= 256 the square also keeps its rows as ``bytes`` in ``_rows``
-    when every row is a permutation of 0..N-1 (else None), for
-    are_orthogonal's table path: about N^2 + 41·N bytes.  Above 256 it
-    keeps nothing more.
+    The square also keeps ``_basis``: (m, the images of the 2m unit inputs)
+    when it is an affine map of GF(2)^m x GF(2)^m, as every square
+    latin_square builds is, else None.  That is 2m + 1 ints at any order.
     """
 
     def __new__(cls, order: int, entries: tuple[tuple[int, ...], ...]) -> "LatinSquare":
@@ -74,19 +121,11 @@ class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[t
             raise ValueError(f"order must be positive, got {n}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} array")
-        # are_orthogonal's key e1·N + e2 tells pairs apart only over 0..N-1,
-        # and rows of order <= 256 then fit in bytes for its table path.
+        # are_orthogonal's key e1·N + e2 tells pairs apart only over 0..N-1.
         if not all(map(set(range(n)).issuperset, entries)):
             raise ValueError(f"entries must lie in 0..{n - 1}")
-        rows = None
-        if n <= 256:
-            rows = tuple(map(bytes, entries))
-            # Deleting a row's bytes from 0..N-1 leaves nothing iff the row
-            # holds every symbol, i.e. is a permutation.
-            if any(map(bytes(range(n)).translate, repeat(None), rows)):
-                rows = None
         self = super().__new__(cls, order, entries)
-        self._rows = rows
+        self._basis = _affine_basis(n, entries)
         return self
 
     @classmethod
@@ -95,7 +134,7 @@ class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[t
 
     def __reduce__(self):
         # copy and pickle rebuild through __new__ on every protocol, which
-        # checks the entries and recomputes _rows instead of carrying it.
+        # checks the entries and recomputes _basis instead of carrying it.
         return type(self), tuple(self)
 
 
@@ -118,8 +157,10 @@ def latin_square(rule: LocalRule) -> LatinSquare:
     Entry (i, j) is the middle d-1 coefficients of (i·X^(d-1) + j)·p.  The
     product is linear in the input, so the entry splits as left[i] ^ right[j]:
     left[i] is the low d-1 bits of i·p and right[j] is j·p shifted down by
-    d-1.  Refuses rules of diameter < 2 and degrees above
-    SQUARE_DEGREE_LIMIT.
+    d-1.  Both are linear, so each is spanned from its images of 1 << t, the
+    low and the high bits of p << t.  Row i is right's 16-bit lanes with
+    left[i] XORed into every lane.  Refuses rules of diameter < 2 and
+    degrees above SQUARE_DEGREE_LIMIT.
     """
     d = rule.diameter
     if d < 2:
@@ -129,9 +170,10 @@ def latin_square(rule: LocalRule) -> LatinSquare:
         raise ValueError(f"Latin squares are limited to degree {SQUARE_DEGREE_LIMIT}, got {nbits}")
     n = 1 << nbits
     p = rule.coeffs
-    left = [mul(i, p) & (n - 1) for i in range(n)]
-    right = [mul(j, p) >> nbits for j in range(n)]
-    return LatinSquare(n, tuple(tuple(a ^ b for b in right) for a in left))
+    left = _span(0, [p << t & (n - 1) for t in range(nbits)])
+    pack, unpack, ones = _lane_codec(n)
+    right = pack(_span(0, [p << t >> nbits for t in range(nbits)]))
+    return LatinSquare(n, tuple(unpack(right ^ a * ones) for a in left))
 
 
 def is_latin(square: LatinSquare) -> bool:
@@ -145,23 +187,29 @@ def is_latin(square: LatinSquare) -> bool:
 def are_orthogonal(first: LatinSquare, second: LatinSquare) -> bool:
     """Whether superposing the two squares yields all N^2 ordered pairs.
 
-    When both squares kept their rows as bytes (N <= 256, every row a
-    permutation of 0..N-1; decided when each square was built), row i of
-    ``first`` holds symbol a in exactly one cell, so
-    ``bytes.maketrans(row1, row2)`` is a table T_i with T_i[a] the entry of
-    ``second`` there.  The pair (a, b) occurs iff some T_i[a] = b, so the
-    squares are orthogonal iff for each a the N bytes T_i[a] cover 0..N-1,
-    i.e. deleting them from it with ``translate`` leaves nothing; each a's
-    bytes are sliced only when reached, so the check stops at the first a
-    they miss.  Other squares, which can still be orthogonal (permute the
-    cells of an orthogonal pair), go through the set of superposed cells.
+    When both squares are affine (decided when each was built), the
+    superposed square maps (i, j) to (e00 ^ L(i) ^ R(j), e00' ^ L'(i) ^
+    R'(j)), an affine map of GF(2)^2m.  It is a bijection, i.e. hits every
+    pair, iff the images a | b << m of its 2m unit inputs are linearly
+    independent: inserted one by one into an XOR basis keyed by top bit,
+    none reduces to 0.  That is O(m^2) word operations at any order.  Other
+    squares, which can still be orthogonal (permute the cells of an
+    orthogonal pair), go through the set of superposed cells.
     """
     n = first.order
     if second.order != n:
         raise ValueError(f"orders differ: {n} vs {second.order}")
-    if first._rows and second._rows:
-        tables = b"".join(map(bytes.maketrans, first._rows, second._rows))
-        return not any(map(bytes(range(n)).translate, repeat(None), (tables[a::256] for a in range(n))))
+    if first._basis is not None and second._basis is not None:
+        m, images = first._basis
+        basis = {}
+        for a, b in zip(images, second._basis[1]):
+            v = a | b << m
+            while v.bit_length() in basis:
+                v ^= basis[v.bit_length()]
+            if not v:
+                return False
+            basis[v.bit_length()] = v
+        return True
     seen = set()
     add = seen.add
     for row1, row2 in zip(first.entries, second.entries):

@@ -2,11 +2,15 @@ import copy
 import math
 import pickle
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocagen import const_lang
-from ocagen.gf2poly import gcd, mul, unit_polys
+from ocagen.gf2poly import degree, gcd, mul, unit_polys
 from ocagen.oca import (
     SQUARE_DEGREE_LIMIT,
     LatinSquare,
@@ -172,7 +176,7 @@ def scrambled(pair, rng, duplicate=False):
 
 def orthogonality_cases(n, rng):
     """Pairs of order n: Latin pairs, Latin against random, the square whose
-    rows are all 0..N-1 (permutations, so table-path input, but not Latin)
+    rows are all 0..N-1 (affine when N is a power of two, but not Latin)
     against a Latin square and itself, and scrambled orthogonal pairs."""
     units = [s for s in range(1, n + 1) if math.gcd(s, n) == 1][:3]
     pairs = [(cyclic_square(n, s), cyclic_square(n, t)) for s in units for t in units]
@@ -195,6 +199,50 @@ def orthogonality_cases(n, rng):
         if n > 1:
             pairs.append(scrambled(pair, rng, duplicate=True))
     return pairs
+
+
+# Reference: affinity by its definition, for any N x N array.
+
+def reference_affine(square):
+    """Whether N = 2^m and entry (i, j) is an affine function of the 2m bits
+    of (i, j): row 0 and column 0 are affine (f(x ^ y) = f(x) ^ f(y) ^ f(0))
+    and every entry is e(i, 0) ^ e(0, j) ^ e(0, 0)."""
+    n, e = square
+    if n & (n - 1):
+        return False
+
+    def affine(f):
+        return all(f[x ^ y] == f[x] ^ f[y] ^ f[0] for x in range(n) for y in range(n))
+
+    return (affine(e[0]) and affine([row[0] for row in e])
+            and all(e[i][j] == e[i][0] ^ e[0][j] ^ e[0][0] for i in range(n) for j in range(n)))
+
+
+def affine_square(m, images, offset):
+    """Entry (i, j) = offset ^ L(i) ^ R(j), N = 2^m, for the linear maps
+    with L(1 << t) = images[t] and R(1 << t) = images[m + t]."""
+    def image(x, first):
+        return reduce(xor, (images[first + t] for t in range(m) if x >> t & 1), 0)
+
+    right = [image(j, m) for j in range(1 << m)]
+    return LatinSquare(1 << m, tuple(tuple(offset ^ image(i, 0) ^ r for r in right) for i in range(1 << m)))
+
+
+@st.composite
+def affine_pairs(draw):
+    """Two affine squares of one order 2^m, m <= 9, with random offsets and
+    unit images; when ``singular`` the superposed image of one unit input is
+    the XOR of others, so the linear part of the pair is singular."""
+    m = draw(st.integers(0, 9))
+    images = st.lists(st.integers(0, (1 << m) - 1), min_size=2 * m, max_size=2 * m)
+    first, second = draw(images), draw(images)
+    if m and draw(st.booleans(), label="singular"):
+        k = draw(st.integers(0, 2 * m - 1))
+        others = draw(st.lists(st.integers(0, 2 * m - 1).filter(lambda s: s != k), max_size=3))
+        first[k] = reduce(xor, (first[s] for s in others), 0)
+        second[k] = reduce(xor, (second[s] for s in others), 0)
+    offsets = st.integers(0, (1 << m) - 1)
+    return affine_square(m, first, draw(offsets)), affine_square(m, second, draw(offsets))
 
 
 class TestLocalRule:
@@ -384,11 +432,11 @@ class TestChecks:
 
     @pytest.mark.parametrize("n", [*range(1, 10), 256, 257])
     def test_orthogonal_matches_reference(self, n):
-        # Orders 256 and 257 sit either side of the byte-table cut.  Below it
-        # the path is chosen from the rows of both squares: a pair whose rows
-        # are all permutations takes the table path, Latin or not (the
-        # rows_identity pairs), and any other pair, such as a scrambled one,
-        # the set path.
+        # The path is chosen from both squares: a pair of affine squares
+        # takes the rank path, Latin or not (the rows_identity pairs), and
+        # any other pair, such as a scrambled one, the set path.  Every
+        # order-1 square is affine; no square of an order that is not a
+        # power of two, such as 257, is.
         rng = random.Random(1000 + n)
         cases = orthogonality_cases(n, rng)
         outcomes = set()
@@ -398,12 +446,14 @@ class TestChecks:
             outcomes.add(expected)
         assert outcomes == ({True} if n == 1 else {True, False})
         assert n == 1 or not all(map(is_latin, (sq for pair in cases for sq in pair)))
-        table = [a._rows is not None and b._rows is not None for a, b in cases]
-        if n > 256:
-            assert not any(table)
-        elif n > 1:
-            assert not all(table)
-            assert any(t and not is_latin(a) for t, (a, _) in zip(table, cases))
+        affine = [a._basis is not None and b._basis is not None for a, b in cases]
+        if n & (n - 1):
+            assert not any(affine)
+        elif n == 1:
+            assert all(affine)
+        else:
+            assert any(affine) and not all(affine)
+            assert any(t and not is_latin(a) for t, (a, _) in zip(affine, cases))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 256, 257])
     def test_non_latin_orthogonal_pair(self, n):
@@ -419,31 +469,34 @@ class TestChecks:
             square, other = cyclic_square(n, 1), cyclic_square(n, 2)
         else:
             square, other = (latin_square(rule_from_poly(p)) for p in polys)
-        assert (square._rows is None) == (n > 256)
+        assert (square._basis is None) == (n == 257)
         pickles = [pickle.dumps(square, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         rebuilt = [copy.copy(square), copy.deepcopy(square), square._replace(),
                    LatinSquare._make(square), *map(pickle.loads, pickles)]
         for sq in rebuilt:
             assert type(sq) is LatinSquare
             assert sq == square and hash(sq) == hash(square)
-            assert sq._rows == square._rows
+            assert sq._basis == square._basis
             order, entries = sq
             assert order == n and entries == square.entries
             assert type(entries) is tuple and all(type(row) is tuple for row in entries)
             for a, b in ((sq, other), (other, sq), (sq, square)):
                 assert are_orthogonal(a, b) == reference_orthogonal(a, b)
         assert reference_orthogonal(square, other) and not reference_orthogonal(square, square)
-        # A pickle carries the order and entries only; loading rebuilds _rows.
-        assert not any(b"_rows" in data for data in pickles)
+        # A pickle carries the order and entries only; loading rebuilds _basis.
+        assert not any(b"_basis" in data for data in pickles)
 
     def test_order_512_pairs(self):
-        # Diameter 10 (degree 9) gives order 512, above the byte cut.
+        # Degrees 9 and 10 give orders 512 and 1024, decided on the rank
+        # path, with no set of N^2 cells.
         h = 0x7
-        for f, g, coprime in ((0x211, 0x203, True), (mul(h, 0x83), mul(h, 0x89), False)):
+        for f, g, coprime in ((0x211, 0x203, True), (mul(h, 0x83), mul(h, 0x89), False),
+                              (0x409, 0x40f, True), (mul(h, 0x11b), mul(h, 0x11d), False)):
             assert (gcd(f, g) == 1) == coprime
             sq_f, sq_g = latin_square(rule_from_poly(f)), latin_square(rule_from_poly(g))
-            assert sq_f.order == 512
-            assert are_orthogonal(sq_f, sq_g) == coprime
+            assert sq_f.order == 1 << degree(f)
+            assert sq_f._basis is not None and sq_g._basis is not None
+            assert are_orthogonal(sq_f, sq_g) == are_orthogonal(sq_g, sq_f) == coprime
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
@@ -472,6 +525,38 @@ class TestChecks:
             assert is_latin(sq_f) and is_latin(sq_g)
             assert are_orthogonal(sq_f, sq_g) == (gcd(f, g) == 1)
         assert {gcd(f, g) == 1 for f, g in pairs} == {True, False}
+
+
+class TestAffinePath:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_built_square_is_affine(self, n):
+        # L(1 << t) is the low n bits of p << t, R(1 << t) the rest of it.
+        for p in unit_polys(n):
+            images = (*(p << t & ((1 << n) - 1) for t in range(n)), *(p << t >> n for t in range(n)))
+            assert latin_square(rule_from_poly(p))._basis == (n, images)
+
+    @settings(max_examples=40)
+    @given(affine_pairs(), st.data())
+    def test_matches_reference(self, pair, data):
+        # A one-entry mutant is never affine; a row-shuffled copy is affine
+        # exactly when the reference says so.  A pair with a square that is
+        # not affine goes through the set path.
+        a, b = pair
+        n = a.order
+        assert a._basis is not None and b._basis is not None
+        rows = data.draw(st.permutations(range(n)), label="rows")
+        shuffled = [LatinSquare(n, tuple(sq.entries[r] for r in rows)) for sq in pair]
+        assert (shuffled[0]._basis is not None) == reference_affine(shuffled[0])
+        cases = [pair, shuffled, (shuffled[0], b)]
+        if n > 1:
+            i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, n - 1), label="j")
+            entries = [list(row) for row in b.entries]
+            entries[i][j] ^= data.draw(st.integers(1, n - 1), label="flip")
+            mutant = LatinSquare(n, tuple(map(tuple, entries)))
+            assert mutant._basis is None
+            cases.append((a, mutant))
+        for x, y in cases:
+            assert are_orthogonal(x, y) == are_orthogonal(y, x) == reference_orthogonal(x, y)
 
 
 class TestSuperposedRank:
