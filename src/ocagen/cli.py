@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .compositions import compositions, count_compositions
 from .const_lang import block_cap, count_words, words_of_length
-from .enumeration import count_pairs, count_pairs_sum, lane_bytes, lane_columns, oracle_pairs, pair_chunks
+from .enumeration import _coprime_pairs, count_pairs, count_pairs_sum, lane_bytes, lane_columns, oracle_pairs, pair_chunks
 from .euclid import euclid_trace
 from .gf2poly import constant_term, degree, format_poly, gcd, parse_poly
 from .oca import are_orthogonal, latin_square, rule_from_poly
@@ -194,7 +194,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_count(args: argparse.Namespace) -> list[str]:
-    count = {"closed": count_pairs, "sum": count_pairs_sum, "oracle": lambda n: len(oracle_pairs(n))}[args.method]
+    count = {"closed": count_pairs, "sum": count_pairs_sum,
+             "oracle": lambda n: sum(2 for _ in _coprime_pairs(n))}[args.method]
     return [_decimal(count(args.degree)) + "\n"]
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, islice, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -42,7 +42,8 @@ from .const_lang import block_cap, completions, count_words, is_valid_word, spel
 from .gf2poly import Poly, gcd, unit_polys
 
 # ``oracle --degree 12`` takes 11-12 s and peaks near 360 MiB on a 2-CPU
-# Python 3.11 host (``count --method oracle`` 5 s); both grow 4x per degree.
+# Python 3.11 host, both growing 4x per degree; ``count --method oracle``
+# takes 3 s and holds no pairs (15 MiB).
 ORACLE_DEGREE_LIMIT = 12
 
 Provenance = tuple[Composition, str, str]
@@ -256,21 +257,28 @@ def _lanes(parts: Composition, fixed: str, state: int) -> bytes:
     return ((A ^ B) | A << (width << 3)).to_bytes(2 * width, "little")
 
 
-def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
-    """Brute-force reference: gcd-filter all pairs of degree n with unit
-    constant terms, each unordered pair once (gcd is symmetric), keeping
-    both orders: about 4^(n-1)/2 gcds and count_pairs(n) tuples, so each
-    degree costs about four times the last in time and memory.  Guarded at
-    degree ORACLE_DEGREE_LIMIT.
+def _coprime_pairs(n: int) -> Iterator[tuple[Poly, Poly]]:
+    """Brute force: each unordered coprime pair of degree n with unit
+    constant terms once, by gcd-filtering all about 4^(n-1)/2 pairs (f = g
+    is never coprime at degree >= 1).  Guarded at ORACLE_DEGREE_LIMIT on
+    the call, before any pair is read.
     """
     _check_degree(n)
     if n > ORACLE_DEGREE_LIMIT:
         raise ValueError(
             f"oracle degree {n} exceeds the guard {ORACLE_DEGREE_LIMIT}; "
-            f"it would need {(1 << (n - 2)) * ((1 << (n - 1)) + 1):,} gcd computations"
+            f"it would need {(1 << (n - 2)) * ((1 << (n - 1)) - 1):,} gcd computations"
         )
-    pairs = combinations_with_replacement(unit_polys(n), 2)
-    return {pair for f, g in pairs if gcd(f, g) == 1 for pair in ((f, g), (g, f))}
+    return ((f, g) for f, g in combinations(unit_polys(n), 2) if gcd(f, g) == 1)
+
+
+def oracle_pairs(n: int) -> set[tuple[Poly, Poly]]:
+    """Brute-force reference: every coprime pair of degree n with unit
+    constant terms, both orders, as a set of count_pairs(n) tuples, so each
+    degree costs about four times the last in time and memory.  Guarded at
+    degree ORACLE_DEGREE_LIMIT.
+    """
+    return {pair for f, g in _coprime_pairs(n) for pair in ((f, g), (g, f))}
 
 
 def _validate_parts(parts: Composition) -> None:

@@ -14,26 +14,26 @@ middle d-1 coefficients of x·p: the global map is multiplication by p.
 Indexed by row i and column j, it forms a Latin square of order 2^(d-1).
 
 Two linear rules yield orthogonal Latin squares exactly when their
-polynomials are coprime.  are_orthogonal checks this by the definition,
-never by gcd.  The square of a linear rule is an affine map of
-GF(2)^m x GF(2)^m, N = 2^m; superposing two such squares gives an affine
-map of GF(2)^2m, which hits all N^2 pairs exactly when the images of its
-2m unit inputs are linearly independent (the Sylvester-rank view of
-Mariot, Gadouleau, Formenti & Leporati, Des. Codes Cryptogr. 2020).
-Whether a square is affine, and those images, are decided once, when the
-square is built; any pair with a square that is not goes through the set
-of superposed cells.
+polynomials are coprime; no check here calls gcd.  A linear rule's square
+is an affine map of GF(2)^m x GF(2)^m, N = 2^m: entry (i, j) is
+e00 ^ L(i) ^ R(j) for linear maps L and R.  A square keeps the images of
+its 2m unit inputs when it is affine, decided once, when it is built, and
+every check reads them: is_latin asks whether L and R are bijections,
+are_orthogonal whether the superposed map of GF(2)^2m is (the
+Sylvester-rank view of Mariot, Gadouleau, Formenti & Leporati, Des. Codes
+Cryptogr. 2020); each is a GF(2) independence test.  Any other square is
+checked through its entries.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from struct import Struct
-from typing import NamedTuple
+from itertools import chain, repeat
+from struct import error as struct_error, pack, unpack
+from typing import Iterator, NamedTuple
 
 from .gf2poly import Poly, constant_term, degree
 
-# Degree 12 (order 4096) builds in ~1.5 s with a ~625 MiB peak on a 2-CPU
+# Degree 12 (order 4096) builds in ~0.8 s with a ~625 MiB peak on a 2-CPU
 # Python 3.11 host; time and memory grow 4x per degree.
 SQUARE_DEGREE_LIMIT = 12
 
@@ -73,46 +73,40 @@ def _span(start: int, images: list[int]) -> list[int]:
     return values
 
 
-def _lane_codec(n: int):
-    """(pack, unpack, ONES) for n values below 2^16 as one int of n 16-bit
-    lanes, value k in bits 16k to 16k+15; ONES holds 1 in every lane."""
-    lanes = Struct(f"<{n}H")
-
-    def pack(values) -> int:
-        return int.from_bytes(lanes.pack(*values), "little")
-
-    def unpack(packed: int) -> tuple[int, ...]:
-        return lanes.unpack(packed.to_bytes(lanes.size, "little"))
-
-    return pack, unpack, pack([1] * n)
+def _lane_rows(m: int, e00: int, images) -> Iterator[bytes]:
+    """The rows of entry (i, j) = e00 ^ L(i) ^ R(j), N = 2^m, with L(1 << t)
+    = images[t] and R(1 << t) = images[m + t], each as N little-endian
+    16-bit lanes: row 0 with L(i) XORed into every lane."""
+    n = 1 << m
+    row0 = int.from_bytes(pack(f"<{n}H", *_span(e00, images[m:])), "little")
+    ones = ((1 << 16 * n) - 1) // 0xFFFF
+    return ((row0 ^ a * ones).to_bytes(2 * n, "little") for a in _span(0, images[:m]))
 
 
 def _affine_basis(n: int, entries: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[int, ...]] | None:
     """(m, the images L(1 << t) then R(1 << t) for t < m) if N = 2^m and
-    entry (i, j) = e00 ^ L(i) ^ R(j) for linear maps L and R, else None."""
+    entry (i, j) = e00 ^ L(i) ^ R(j) in 0..N-1 for linear L and R, else None."""
     m = n.bit_length() - 1
     if n != 1 << m or m > 16:
         return None
-    row0, column0 = entries[0], tuple(row[0] for row in entries)
-    e00 = row0[0]
-    lefts = [column0[1 << t] ^ e00 for t in range(m)]
-    rights = [row0[1 << t] ^ e00 for t in range(m)]
-    if tuple(_span(e00, rights)) != row0 or tuple(_span(e00, lefts)) != column0:
+    e00 = entries[0][0]
+    units = [entries[1 << t][0] for t in range(m)] + [entries[0][1 << t] for t in range(m)]
+    if not all(isinstance(v, int) and 0 <= v < n for v in (e00, *units)):
         return None
-    # Row i must be row 0 with L(i) = row[0] ^ e00 XORed into every lane.
-    pack, _, ones = _lane_codec(n)
-    base = pack(row0)
-    if any(pack(row) != base ^ (row[0] ^ e00) * ones for row in entries):
+    images = tuple(v ^ e00 for v in units)
+    try:  # pack refuses a non-int, a negative value or one >= 2^16
+        same = all(pack(f"<{n}H", *row) == lanes for row, lanes in zip(entries, _lane_rows(m, e00, images)))
+    except struct_error:
         return None
-    return m, (*lefts, *rights)
+    return (m, images) if same else None
 
 
 class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[tuple[int, ...], ...])])):
-    """An order-N array over {0, .., N-1}; validity is checked by is_latin.
+    """An order-N array of ints in 0..N-1; validity is checked by is_latin.
 
-    The square also keeps ``_basis``: (m, the images of the 2m unit inputs)
-    when it is an affine map of GF(2)^m x GF(2)^m, as every square
-    latin_square builds is, else None.  That is 2m + 1 ints at any order.
+    ``_basis`` is (m, the images of the 2m unit inputs) when the square is
+    an affine map of GF(2)^m x GF(2)^m, as every latin_square is, else
+    None; is_latin and are_orthogonal read it whenever it is there.
     """
 
     def __new__(cls, order: int, entries: tuple[tuple[int, ...], ...]) -> "LatinSquare":
@@ -121,11 +115,15 @@ class LatinSquare(NamedTuple("LatinSquare", [("order", int), ("entries", tuple[t
             raise ValueError(f"order must be positive, got {n}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} array")
-        # are_orthogonal's key e1·N + e2 tells pairs apart only over 0..N-1.
-        if not all(map(set(range(n)).issuperset, entries)):
-            raise ValueError(f"entries must lie in 0..{n - 1}")
+        basis = _affine_basis(n, entries)
+        # are_orthogonal's key e1·N + e2 tells pairs apart only over 0..N-1;
+        # an affine square is already known to lie there.  1.0 is in
+        # range(n) as a set member, so the types are checked apart.
+        if basis is None and not (all(map(set(range(n)).issuperset, entries))
+                                  and all(map(isinstance, chain.from_iterable(entries), repeat(int)))):
+            raise ValueError(f"entries must be ints in 0..{n - 1}")
         self = super().__new__(cls, order, entries)
-        self._basis = _affine_basis(n, entries)
+        self._basis = basis
         return self
 
     @classmethod
@@ -155,12 +153,10 @@ def latin_square(rule: LocalRule) -> LatinSquare:
     """Tabulate the rule's global map on 2(d-1) cells as a Latin square.
 
     Entry (i, j) is the middle d-1 coefficients of (i·X^(d-1) + j)·p.  The
-    product is linear in the input, so the entry splits as left[i] ^ right[j]:
-    left[i] is the low d-1 bits of i·p and right[j] is j·p shifted down by
-    d-1.  Both are linear, so each is spanned from its images of 1 << t, the
-    low and the high bits of p << t.  Row i is right's 16-bit lanes with
-    left[i] XORed into every lane.  Refuses rules of diameter < 2 and
-    degrees above SQUARE_DEGREE_LIMIT.
+    product is linear in the input, so the entry is L(i) ^ R(j), where L(i)
+    is the low d-1 bits of i·p and R(j) is j·p shifted down by d-1; the
+    images of 1 << t are the low and the high bits of p << t.  Refuses
+    rules of diameter < 2 and degrees above SQUARE_DEGREE_LIMIT.
     """
     d = rule.diameter
     if d < 2:
@@ -170,16 +166,31 @@ def latin_square(rule: LocalRule) -> LatinSquare:
         raise ValueError(f"Latin squares are limited to degree {SQUARE_DEGREE_LIMIT}, got {nbits}")
     n = 1 << nbits
     p = rule.coeffs
-    left = _span(0, [p << t & (n - 1) for t in range(nbits)])
-    pack, unpack, ones = _lane_codec(n)
-    right = pack(_span(0, [p << t >> nbits for t in range(nbits)]))
-    return LatinSquare(n, tuple(unpack(right ^ a * ones) for a in left))
+    images = [p << t & (n - 1) for t in range(nbits)] + [p << t >> nbits for t in range(nbits)]
+    return LatinSquare(n, tuple(unpack(f"<{n}H", row) for row in _lane_rows(nbits, 0, images)))
+
+
+def _independent(vectors) -> bool:
+    """Whether the ints are independent GF(2) vectors: inserted one by one
+    into an XOR basis keyed by top bit, none reduces to 0."""
+    basis = {}
+    for v in vectors:
+        while v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if not v:
+            return False
+        basis[v.bit_length()] = v
+    return True
 
 
 def is_latin(square: LatinSquare) -> bool:
     """Whether every row and every column is a permutation of {0, .., N-1}:
-    LatinSquare holds N lines of N entries in that range, so whether each
-    line's entries are distinct."""
+    of an affine square, whether R and L are bijections (each map's m unit
+    images independent); of any other, whether each line's N entries, all
+    in range, are distinct."""
+    if square._basis is not None:
+        m, images = square._basis
+        return _independent(images[:m]) and _independent(images[m:])
     n = square.order
     return all(len(set(line)) == n for line in chain(square.entries, zip(*square.entries)))
 
@@ -187,29 +198,18 @@ def is_latin(square: LatinSquare) -> bool:
 def are_orthogonal(first: LatinSquare, second: LatinSquare) -> bool:
     """Whether superposing the two squares yields all N^2 ordered pairs.
 
-    When both squares are affine (decided when each was built), the
-    superposed square maps (i, j) to (e00 ^ L(i) ^ R(j), e00' ^ L'(i) ^
-    R'(j)), an affine map of GF(2)^2m.  It is a bijection, i.e. hits every
-    pair, iff the images a | b << m of its 2m unit inputs are linearly
-    independent: inserted one by one into an XOR basis keyed by top bit,
-    none reduces to 0.  That is O(m^2) word operations at any order.  Other
-    squares, which can still be orthogonal (permute the cells of an
-    orthogonal pair), go through the set of superposed cells.
+    Two affine squares superpose to an affine map of GF(2)^2m, (i, j) ->
+    (e00 ^ L(i) ^ R(j), e00' ^ L'(i) ^ R'(j)), which hits every pair iff its
+    2m unit images a | b << m are independent: O(m^2) word operations at
+    any order.  Any other pair, which can still be orthogonal (permute the
+    cells of an orthogonal pair), goes through the set of superposed cells.
     """
     n = first.order
     if second.order != n:
         raise ValueError(f"orders differ: {n} vs {second.order}")
     if first._basis is not None and second._basis is not None:
         m, images = first._basis
-        basis = {}
-        for a, b in zip(images, second._basis[1]):
-            v = a | b << m
-            while v.bit_length() in basis:
-                v ^= basis[v.bit_length()]
-            if not v:
-                return False
-            basis[v.bit_length()] = v
-        return True
+        return _independent(a | b << m for a, b in zip(images, second._basis[1]))
     seen = set()
     add = seen.add
     for row1, row2 in zip(first.entries, second.entries):

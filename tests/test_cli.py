@@ -340,7 +340,7 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: oracle degree 13 exceeds the guard 12; it would need 8,390,656 gcd computations"]
+            "error: oracle degree 13 exceeds the guard 12; it would need 8,386,560 gcd computations"]
 
 
 class TestVerify:
@@ -523,6 +523,13 @@ class TestOutputErrors:
         line, code, err, peak = first_line_in_child(argv)
         assert (line, code, err) == (first, 0, "")
         assert peak < 64 << 20
+
+    def test_oracle_count_holds_no_pairs(self):
+        # The brute-force count walks each unordered coprime pair once and
+        # keeps none; holding both orders of every pair peaked at 101 MiB.
+        line, code, err, peak = first_line_in_child(["count", "--method", "oracle", "--degree", "11"])
+        assert (line, code, err) == (f"{count_pairs(11)}\n", 0, "")
+        assert peak < 40 << 20
 
     @pytest.mark.parametrize("argv", [["enumerate", "--degree", "14"], ["words", "--length", "40"]], ids=" ".join)
     def test_reader_closing_a_real_pipe_exits_0(self, argv):

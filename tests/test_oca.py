@@ -218,6 +218,14 @@ def reference_affine(square):
             and all(e[i][j] == e[i][0] ^ e[0][j] ^ e[0][0] for i in range(n) for j in range(n)))
 
 
+# Reference: Latinity by its definition, for any N x N array.
+
+def reference_latin(square):
+    """Whether every row and every column holds each of 0..N-1 once."""
+    n, e = square
+    return all(sorted(line) == list(range(n)) for line in (*e, *zip(*e)))
+
+
 def affine_square(m, images, offset):
     """Entry (i, j) = offset ^ L(i) ^ R(j), N = 2^m, for the linear maps
     with L(1 << t) = images[t] and R(1 << t) = images[m + t]."""
@@ -422,6 +430,33 @@ class TestChecks:
             LatinSquare(2, ((0, 1), (1, 0)))._replace(entries=((0, 1), (2, 3)))
         assert LatinSquare(2, ((0, 0), (0, 0))).entries == ((0, 0), (0, 0))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1), (-1, -1)], ids=str)
+    def test_non_int_entry(self, n, i, j):
+        # (0, 1) and (1, 0) are unit positions of an affine square, (1, 1)
+        # and (-1, -1) are not; 1.0 == 1 hides in a set of range(n).
+        entries = [[i0 ^ j0 if n & (n - 1) == 0 else (i0 + j0) % n for j0 in range(n)] for i0 in range(n)]
+        assert LatinSquare(n, tuple(map(tuple, entries)))._basis is not None or n == 3
+        entries[i][j] = float(entries[i][j])
+        with pytest.raises(ValueError, match="must be ints"):
+            LatinSquare(n, tuple(map(tuple, entries)))
+
+    def test_bool_entries_are_accepted(self):
+        assert is_latin(LatinSquare(2, ((False, True), (True, False))))
+        assert is_latin(LatinSquare(3, ((0, True, 2), (True, 2, 0), (2, 0, True))))
+
+    @pytest.mark.parametrize("n", [2, 4, 256])
+    @pytest.mark.parametrize("value", ["N", 1 << 16, -1])
+    def test_out_of_range_entry_of_an_affine_square(self, n, value):
+        # Row 0 and column 0 are in range, so only the row comparison (or
+        # pack refusing the value) sends the square to the range scan.
+        square = latin_square(rule_from_poly(n | 1))
+        assert square._basis is not None
+        entries = [list(row) for row in square.entries]
+        entries[-1][-1] = n if value == "N" else value
+        with pytest.raises(ValueError, match="must be ints"):
+            LatinSquare(n, tuple(map(tuple, entries)))
+
     def test_orthogonality_examples(self):
         sq90, sq150 = latin_square(RULE_90), latin_square(RULE_150)
         assert are_orthogonal(sq90, sq150)
@@ -557,6 +592,42 @@ class TestAffinePath:
             cases.append((a, mutant))
         for x, y in cases:
             assert are_orthogonal(x, y) == are_orthogonal(y, x) == reference_orthogonal(x, y)
+
+
+class TestIsLatin:
+    # An affine square is decided by its unit images, any other line by
+    # line; both must agree with the definition.
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_built_square(self, n):
+        for p in unit_polys(n):
+            square = latin_square(rule_from_poly(p))
+            assert square._basis is not None
+            assert is_latin(square) and reference_latin(square)
+
+    def test_singular_maps_are_not_latin(self):
+        # L(1) = L(2) repeats entries down every column; R(1) = 0 along every row.
+        for images, latin in (([1, 1, 1, 2], False), ([1, 2, 0, 2], False), ([1, 2, 3, 2], True)):
+            square = affine_square(2, images, 3)
+            assert is_latin(square) == reference_latin(square) == latin
+
+    @settings(max_examples=40)
+    @given(affine_pairs())
+    def test_affine_squares(self, pair):
+        for square in pair:
+            assert square._basis is not None
+            assert is_latin(square) == reference_latin(square)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 256, 257])
+    def test_orthogonality_cases(self, n):
+        # Cyclic, built, random, row-shuffled, striped and scrambled squares.
+        cases = orthogonality_cases(n, random.Random(2000 + n))
+        squares = [square for pair in cases for square in pair]
+        assert all(is_latin(square) == reference_latin(square) for square in squares)
+        seen = {(square._basis is not None, reference_latin(square)) for square in squares}
+        if n in (4, 8, 256):
+            assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        assert n & (n - 1) == 0 or not any(affine for affine, _ in seen)
 
 
 class TestSuperposedRank:
